@@ -8,7 +8,6 @@ sense; every failure exits nonzero with a one-line structured message.
 from __future__ import annotations
 
 import argparse
-import io
 import sys
 from pathlib import Path
 
@@ -54,7 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("iso", help="frequency-weighted comfort evaluation of a trace CSV")
     p.add_argument("--trace", required=True)
-    p.add_argument("--weightings", default="x=d,y=d,z=k", help="axis=weighting list")
+    default_weightings = ",".join(f"{axis}={w}" for axis, w in iso2631.DEFAULT_WEIGHTINGS.items())
+    p.add_argument("--weightings", default=default_weightings, help="axis=weighting list")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("thresholds", help="acceleration-band exceedance summary of a trace CSV")
@@ -121,13 +121,11 @@ def _cmd_iri(args) -> int:
     results = iri_mod.compute_iri(
         elevation, float(steps[0]), speed=args.speed_kmh / 3.6, segment_length=args.segment
     )
-    buf = io.StringIO()
-    buf.write("s_start,iri,label\n")
     classify_speed = args.classify_speed_kmh or args.speed_kmh
-    for r in results:
-        label = iri_mod.classify_iri(r.iri, classify_speed)
-        buf.write(f"{stations[0] + r.s_start:.3f},{r.iri:.6f},{label}\n")
-    _emit(args.out, buf.getvalue())
+    lines = (
+        f"{stations[0] + r.s_start:.3f},{r.iri:.6f},{iri_mod.classify_iri(r.iri, classify_speed)}\n" for r in results
+    )
+    _emit(args.out, "s_start,iri,label\n" + "".join(lines))
     return 0
 
 
@@ -139,36 +137,21 @@ def _cmd_iso(args) -> int:
         if axis not in ("x", "y", "z") or not wid:
             raise ConfigError(f"bad --weightings entry {item!r}")
         weightings[axis] = iso2631.load_weighting(wid)
-    channel_of = {"x": "ax", "y": "ay", "z": "az"}
-    rms = {
-        axis: iso2631.weight_signal(run.channel(channel_of[axis]), spec).a_w_rms
-        for axis, spec in weightings.items()
-    }
-    combined = iso2631.combine(rms.get("x", 0.0), rms.get("y", 0.0), rms.get("z", 0.0))
-    label, perception = iso2631.classify_iso(combined.a_v)
-    buf = io.StringIO()
-    buf.write("ax_w_rms,ay_w_rms,az_w_rms,a_v,label,perception\n")
-    buf.write(
-        f"{rms.get('x', 0.0):.6e},{rms.get('y', 0.0):.6e},{rms.get('z', 0.0):.6e},"
-        f"{combined.a_v:.6e},{label},{perception}\n"
-    )
-    _emit(args.out, buf.getvalue())
+    weighted = iso2631.weight_axes(run, weightings)
+    rms = [weighted[axis].a_w_rms if axis in weighted else 0.0 for axis in ("x", "y", "z")]
+    a_v = iso2631.combine(*rms).a_v
+    label, perception = iso2631.classify_iso(a_v)
+    values = ",".join(f"{v:.6e}" for v in (*rms, a_v))
+    _emit(args.out, f"ax_w_rms,ay_w_rms,az_w_rms,a_v,label,perception\n{values},{label},{perception}\n")
     return 0
 
 
 def _cmd_thresholds(args) -> int:
     run = signals.read_response_csv(args.trace)
     bands = thresholds.load_bands(args.bands_file)
-    buf = io.StringIO()
-    buf.write("axis,style,C,R_c,N,R_n\n")
-    for axis in thresholds.AXES:
-        space = signals.to_space(run, f"a{axis}", args.ds)
-        for style in thresholds.STYLES:
-            flag = thresholds.exceedance(space, bands[(axis, style)])
-            report = sections.find_critical(flag, args.window)
-            row = report.rows[0]
-            buf.write(f"{axis},{style},{row.c},{row.r_c:.2f},{row.n},{row.r_n:.2f}\n")
-    _emit(args.out, buf.getvalue())
+    space = {f"a{axis}": signals.to_space(run, f"a{axis}", args.ds) for axis in thresholds.AXES}
+    _, text = sections.find_critical_bands(space, bands, args.window)
+    _emit(args.out, text)
     return 0
 
 

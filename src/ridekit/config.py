@@ -16,11 +16,14 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from . import iso2631
 from .calibration import CALIBRATION_PARAMETERS, OptimizationChain
 from .errors import ConfigError
 from .road import ROUGHNESS_PSD_SCALE, SmoothingParams
 from .sampling import InputDistribution, default_input_distributions
-from .vehicle import QuarterCarParams, SpeedProfile, VehicleGeometry, default_car, default_geometry
+from .sections import ISO_REDUCTIONS
+from .signals import AGGREGATORS
+from .vehicle import MAX_DT, QuarterCarParams, SpeedProfile, VehicleGeometry, default_car, default_geometry
 
 __all__ = ["PipelineConfig", "load_config", "config_hash"]
 
@@ -48,7 +51,7 @@ class PipelineConfig:
     ds: float = 0.1
     methods: tuple[str, ...] = _METHODS
     aggregator: str = "mean"
-    weightings: dict[str, str] = field(default_factory=lambda: {"x": "d", "y": "d", "z": "k"})
+    weightings: dict[str, str] = field(default_factory=lambda: dict(iso2631.DEFAULT_WEIGHTINGS))
     k_factors: tuple[float, float, float] = (1.0, 1.0, 1.0)
     bands_file: str | None = None
     iso_reduction: str = "mean"
@@ -67,6 +70,12 @@ def _require(mapping: dict, key: str, context: str):
     if key not in mapping:
         raise ConfigError(f"missing field {key!r} in {context}")
     return mapping[key]
+
+
+def _one_of(value: str, allowed, key: str) -> str:
+    if value not in allowed:
+        raise ConfigError(f"{key} {value!r} not in {tuple(allowed)}")
+    return value
 
 
 def _check_keys(mapping: dict, allowed: set[str], context: str) -> None:
@@ -156,14 +165,12 @@ def _load_config(
         length = float(_require(synth, "length", "road.synthetic"))
         step = float(synth.get("step", 0.1))
         klass = str(_require(synth, "roughness_class", "road.synthetic")).upper()
-        if klass not in ROUGHNESS_PSD_SCALE:
-            raise ConfigError(f"road.synthetic.roughness_class must be one of {sorted(ROUGHNESS_PSD_SCALE)}")
+        _one_of(klass, ROUGHNESS_PSD_SCALE, "road.synthetic.roughness_class")
         patch = synth.get("patch")
         if patch is not None:
             _check_keys(patch, {"start", "length", "roughness_class"}, "road.synthetic.patch")
             pklass = str(_require(patch, "roughness_class", "road.synthetic.patch")).upper()
-            if pklass not in ROUGHNESS_PSD_SCALE:
-                raise ConfigError("road.synthetic.patch.roughness_class must be a class A..E")
+            _one_of(pklass, ROUGHNESS_PSD_SCALE, "road.synthetic.patch.roughness_class")
         road_synthetic = {
             "length": length,
             "step": step,
@@ -197,6 +204,8 @@ def _load_config(
     if n < 1:
         raise ConfigError("batch.n must be >= 1")
     dt = float(batch.get("dt", 1e-3))
+    if not (0 < dt <= MAX_DT):
+        raise ConfigError(f"batch.dt must be in (0, {MAX_DT}] s")
 
     analysis = raw.get("analysis", {})
     _check_keys(
@@ -207,8 +216,7 @@ def _load_config(
     if methods is None:
         methods = tuple(analysis.get("methods", list(_METHODS)))
     for m in methods:
-        if m not in _METHODS:
-            raise ConfigError(f"analysis.methods entry {m!r} not in {_METHODS}")
+        _one_of(m, _METHODS, "analysis.methods entry")
     bands_file = analysis.get("bands_file")
     if bands_file is not None and not Path(bands_file).exists():
         raise ConfigError(f"analysis.bands_file {bands_file!r} does not exist")
@@ -220,8 +228,15 @@ def _load_config(
             "the iri method applies speed-dependent thresholds: set "
             "scenario.target_speed_kmh or scenario.profile explicitly"
         )
-    weightings = {str(k): str(v) for k, v in analysis.get("weightings", {"x": "d", "y": "d", "z": "k"}).items()}
+    ds = float(analysis.get("ds", 0.1))
+    if not (ds > 0):
+        raise ConfigError("analysis.ds must be > 0")
+    aggregator = _one_of(str(analysis.get("aggregator", "mean")), AGGREGATORS, "analysis.aggregator")
+    iso_reduction = _one_of(str(analysis.get("iso_reduction", "mean")), ISO_REDUCTIONS, "analysis.iso_reduction")
+    weightings = {str(k): str(v) for k, v in analysis.get("weightings", iso2631.DEFAULT_WEIGHTINGS).items()}
     _check_keys(weightings, {"x", "y", "z"}, "analysis.weightings")
+    for axis, wid in weightings.items():
+        _one_of(wid.lower(), iso2631.available_weightings(), f"analysis.weightings.{axis}")
     k_raw = analysis.get("k_factors", [1.0, 1.0, 1.0])
     if len(k_raw) != 3:
         raise ConfigError("analysis.k_factors must hold three values")
@@ -234,7 +249,7 @@ def _load_config(
     front = _parse_quarter_car(vehicle_entry.get("front"), "vehicle.front")
     rear = _parse_quarter_car(vehicle_entry.get("rear", vehicle_entry.get("front")), "vehicle.rear")
     geo_entry = vehicle_entry.get("geometry", {})
-    _check_keys(geo_entry, {"wheelbase", "track_width", "cg_height", "roll_inertia", "pitch_inertia"}, "vehicle.geometry")
+    _check_keys(geo_entry, {"wheelbase", "track_width"}, "vehicle.geometry")
     geometry = VehicleGeometry(**{**default_geometry().__dict__, **{k: float(v) for k, v in geo_entry.items()}})
 
     calib = raw.get("calibration", {})
@@ -264,13 +279,13 @@ def _load_config(
         dt=dt,
         jobs=int(jobs if jobs is not None else batch.get("jobs", 1)),
         window_m=window_m,
-        ds=float(analysis.get("ds", 0.1)),
+        ds=ds,
         methods=methods,
-        aggregator=str(analysis.get("aggregator", "mean")),
+        aggregator=aggregator,
         weightings=weightings,
         k_factors=tuple(float(x) for x in k_raw),
         bands_file=bands_file,
-        iso_reduction=str(analysis.get("iso_reduction", "mean")),
+        iso_reduction=iso_reduction,
         iri_segment_m=float(iri_entry.get("segment_m", 5.0)),
         iri_speed_kmh=float(iri_entry.get("speed_kmh", 80.0)),
         front=front,

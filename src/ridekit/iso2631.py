@@ -19,7 +19,7 @@ import numpy as np
 from scipy.signal import bilinear, sosfilt
 
 from .errors import FilterDesignError, InvalidInput
-from .signals import TimeSeries
+from .signals import TimeSeries, VehicleResponse
 
 __all__ = [
     "FilterSpec",
@@ -28,10 +28,12 @@ __all__ = [
     "IsoClassification",
     "COMFORT_LABELS",
     "COMFORT_LOWER_BOUNDS",
+    "DEFAULT_WEIGHTINGS",
     "available_weightings",
     "load_weighting",
     "design_filter",
     "weight_signal",
+    "weight_axes",
     "combine",
     "classify_iso",
     "severity",
@@ -55,6 +57,10 @@ COMFORT_LOWER_BOUNDS = {
     "VU": 1.25,
     "EU": 2.0,
 }
+
+#: Weighting id per acceleration axis for seated comfort: ``d`` horizontal,
+#: ``k`` vertical.
+DEFAULT_WEIGHTINGS = {"x": "d", "y": "d", "z": "k"}
 
 #: Probability-of-perception transition range [m/s^2].
 PERCEPTION_RANGE = (0.01, 0.02)
@@ -242,6 +248,11 @@ def weight_signal(a: TimeSeries, spec: FilterSpec) -> WeightedResult:
         a_w_rms=rms,
         duration_T=a.duration,
     )
+
+
+def weight_axes(run: VehicleResponse, weightings: dict[str, FilterSpec]) -> dict[str, WeightedResult]:
+    """Weight the acceleration channel ``a<axis>`` of a run for each axis given."""
+    return {axis: weight_signal(run.channel(f"a{axis}"), spec) for axis, spec in weightings.items()}
 
 
 @dataclass(frozen=True)

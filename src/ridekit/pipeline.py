@@ -79,6 +79,16 @@ def generate_road(cfg: PipelineConfig, out_path) -> Path:
     return out_path
 
 
+def _scenario(cfg: PipelineConfig, grid: road.RoadGrid) -> Scenario:
+    """The configured base scenario; sampled runs override its stochastic inputs."""
+    return Scenario(
+        road=grid,
+        target_speed=cfg.target_speed,
+        lane_half_width=cfg.lane_half_width,
+        smoothing=cfg.smoothing,
+    )
+
+
 def _space_signal(runs, channel: str, ds: float, aggregator: str) -> signals.SpaceSeries:
     per_run = [signals.to_space(run, channel, ds) for run in runs]
     return signals.aggregate(per_run, aggregator)
@@ -95,12 +105,7 @@ def analyze(cfg: PipelineConfig, out_dir) -> dict:
     outputs: dict[str, str] = {}
 
     grid = build_road(cfg)
-    scenario = Scenario(
-        road=grid,
-        target_speed=cfg.target_speed,
-        lane_half_width=cfg.lane_half_width,
-        smoothing=cfg.smoothing,
-    )
+    scenario = _scenario(cfg, grid)
     plan = sampling.lhs(cfg.distributions, cfg.n, cfg.seed)
     _write(out_dir, "sample_plan.csv", plan.to_csv_text(), outputs)
 
@@ -118,30 +123,15 @@ def analyze(cfg: PipelineConfig, out_dir) -> dict:
     tables: list[str] = []
 
     space = {ch: _space_signal(runs, ch, cfg.ds, cfg.aggregator) for ch in ("ax", "ay", "az")}
-    buf = io.StringIO()
-    buf.write("s,ax,ay,az\n")
-    base = space["ax"]
-    for k in range(len(base)):
-        buf.write(
-            f"{base.positions[k]:.3f},{space['ax'].values[k]:.6e},"
-            f"{space['ay'].values[k]:.6e},{space['az'].values[k]:.6e}\n"
-        )
-    _write(out_dir, "space_signals.csv", buf.getvalue(), outputs)
+    rows = zip(space["ax"].positions, space["ax"].values, space["ay"].values, space["az"].values, strict=True)
+    text = "s,ax,ay,az\n" + "".join(f"{s:.3f},{ax:.6e},{ay:.6e},{az:.6e}\n" for s, ax, ay, az in rows)
+    _write(out_dir, "space_signals.csv", text, outputs)
 
     if "threshold" in cfg.methods:
         bands = thresholds.load_bands(cfg.bands_file)
-        rows = []
-        reports = {}
-        for axis in thresholds.AXES:
-            for style in thresholds.STYLES:
-                flag = thresholds.exceedance(space[f"a{axis}"], bands[(axis, style)])
-                report = sections.find_critical(flag, cfg.window_m)
-                row = report.rows[0]
-                reports[(axis, style)] = report
-                rows.append(f"{axis},{style},{row.c},{row.r_c:.2f},{row.n},{row.r_n:.2f}")
-        text = "axis,style,C,R_c,N,R_n\n" + "\n".join(rows) + "\n"
+        reports, text = sections.find_critical_bands(space, bands, cfg.window_m)
         _write(out_dir, "threshold_report.csv", text, outputs)
-        tables.append(_threshold_table(reports))
+        tables.append(sections.threshold_table(reports))
         summary["reports"]["threshold"] = reports
 
     if "iso" in cfg.methods:
@@ -150,12 +140,10 @@ def analyze(cfg: PipelineConfig, out_dir) -> dict:
             runs, cfg.window_m, weightings, cfg.k_factors, cfg.iso_reduction
         )
         _write(out_dir, "iso_report.csv", iso_windows.report.to_csv_text(), outputs)
-        buf = io.StringIO()
-        buf.write("s_center,a_v,label\n")
         centers = 0.5 * (iso_windows.edges[:-1] + iso_windows.edges[1:])
-        for s, a_v, label in zip(centers, iso_windows.a_v, iso_windows.labels):
-            buf.write(f"{s:.3f},{a_v:.6e},{label}\n")
-        _write(out_dir, "iso_windows.csv", buf.getvalue(), outputs)
+        rows = zip(centers, iso_windows.a_v, iso_windows.labels)
+        text = "s_center,a_v,label\n" + "".join(f"{s:.3f},{a_v:.6e},{label}\n" for s, a_v, label in rows)
+        _write(out_dir, "iso_windows.csv", text, outputs)
         tables.append(iso_windows.report.format_table())
         summary["reports"]["iso"] = iso_windows
 
@@ -171,27 +159,17 @@ def analyze(cfg: PipelineConfig, out_dir) -> dict:
         speed_series = _space_signal(runs, "vx", cfg.ds, "mean")
         iri_windows = sections.classify_windows_iri(iri_series, speed_series, cfg.window_m)
         _write(out_dir, "iri_report.csv", iri_windows.report.to_csv_text(), outputs)
-        buf = io.StringIO()
-        buf.write("s_center,iri,speed_kmh,label\n")
         centers = 0.5 * (iri_windows.edges[:-1] + iri_windows.edges[1:])
-        for s, value, kmh, label in zip(centers, iri_windows.iri, iri_windows.speed_kmh, iri_windows.labels):
-            buf.write(f"{s:.3f},{value:.6e},{kmh:.3f},{label}\n")
-        _write(out_dir, "iri_windows.csv", buf.getvalue(), outputs)
+        rows = zip(centers, iri_windows.iri, iri_windows.speed_kmh, iri_windows.labels)
+        lines = (f"{s:.3f},{value:.6e},{kmh:.3f},{label}\n" for s, value, kmh, label in rows)
+        text = "s_center,iri,speed_kmh,label\n" + "".join(lines)
+        _write(out_dir, "iri_windows.csv", text, outputs)
         tables.append(iri_windows.report.format_table())
         summary["reports"]["iri"] = iri_windows
 
     _write(out_dir, "comparison.txt", "\n\n".join(tables) + "\n", outputs)
     _write_manifest(out_dir, cfg, outputs)
     return summary
-
-
-def _threshold_table(reports: dict) -> str:
-    lines = ["threshold method"]
-    lines.append(f"{'axis':<6}{'style':<7}{'C':>6}{'R_c [%]':>9}{'N':>7}{'R_n [%]':>9}")
-    for (axis, style), report in reports.items():
-        row = report.rows[0]
-        lines.append(f"{axis:<6}{style:<7}{row.c:>6}{row.r_c:>9.2f}{row.n:>7}{row.r_n:>9.2f}")
-    return "\n".join(lines)
 
 
 def _iri_space_series(results, grid, cfg: PipelineConfig) -> signals.SpaceSeries:
@@ -221,13 +199,7 @@ def calibrate(cfg: PipelineConfig, reference_path, out_dir) -> calib_mod.ChainRe
     outputs: dict[str, str] = {}
 
     reference = signals.read_reference_csv(reference_path)
-    grid = build_road(cfg)
-    scenario = Scenario(
-        road=grid,
-        target_speed=cfg.target_speed,
-        lane_half_width=cfg.lane_half_width,
-        smoothing=cfg.smoothing,
-    )
+    scenario = _scenario(cfg, build_road(cfg))
     constraints = calib_mod.BoxConstraints.vehicle_defaults()
     chain = cfg.calibration_chain
     names = chain.parameters

@@ -26,7 +26,6 @@ __all__ = [
     "REFERENCE_WAVENUMBER",
     "load_grid",
     "save_grid",
-    "elevation_at",
     "synth_profile",
     "wheel_track_profile",
     "straight_grid",
@@ -264,7 +263,13 @@ def load_grid(path, clean: bool = True) -> RoadGrid:
 
 
 def _clean_grid(elevations: np.ndarray, ref_elevation: np.ndarray) -> tuple[np.ndarray, int]:
-    med = median_filter(elevations, size=3, mode="nearest")
+    # Rows are levelled by their robust crossfall before the median: "nearest"
+    # padding counts an edge cell twice in its neighbours' windows, so on a
+    # tilted row an edge outlier would drag their medians to the next column.
+    n_offsets = elevations.shape[1]
+    crossfall = np.median(np.diff(elevations, axis=1), axis=1) if n_offsets > 1 else np.zeros(len(elevations))
+    tilt = crossfall[:, None] * np.arange(n_offsets)
+    med = median_filter(elevations - tilt, size=3, mode="nearest") + tilt
     resid = elevations - med
     # Scale estimated from the local-mean deviation field, which is not
     # zero-censored the way median residuals are (on laterally uniform grids
@@ -342,11 +347,6 @@ class SurfaceInterpolator:
         else:
             out = np.interp(s, self.grid.stations, self._z[:, 0])
         return float(out) if out.ndim == 0 else out
-
-
-def elevation_at(grid: RoadGrid, s: float, v: float, params: SmoothingParams | None = None) -> float:
-    """Single-point surface query; see :class:`SurfaceInterpolator` for batches."""
-    return float(SurfaceInterpolator(grid, params).at(s, v))
 
 
 def wheel_track_profile(

@@ -16,24 +16,28 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import iri as iri_mod
-from . import iso2631
+from . import iso2631, thresholds
 from .errors import InvalidInput
 from .signals import SpaceSeries, VehicleResponse
-from .thresholds import ExceedanceSignal
-from .vehicle import SpeedProfile
 
 __all__ = [
     "SectionRow",
     "SectionReport",
     "IsoWindows",
     "IriWindows",
+    "ISO_REDUCTIONS",
     "window_edges",
     "find_critical",
+    "find_critical_bands",
+    "threshold_table",
     "classify_windows_iso",
     "classify_windows_iri",
 ]
 
 DEFAULT_WINDOW_M = 5.0
+
+#: Reductions of per-run total vibration values across a batch.
+ISO_REDUCTIONS = ("mean", "max")
 
 
 def window_edges(s0: float, extent: float, l_cr: float) -> np.ndarray:
@@ -109,7 +113,17 @@ class SectionReport:
         return "\n".join(lines)
 
 
-def find_critical(flag: ExceedanceSignal, l_cr: float = DEFAULT_WINDOW_M, mode: str = "all") -> SectionReport:
+def _label_rows(labels: list[str], categories) -> list[SectionRow]:
+    """One row per reported category; windows under any other label count in N."""
+    rows = []
+    for category in categories:
+        critical = np.array([lab == category for lab in labels])
+        c = int(critical.sum())
+        rows.append(SectionRow(category=category, c=c, n=len(labels) - c, critical_windows=critical))
+    return rows
+
+
+def find_critical(flag: thresholds.ExceedanceSignal, l_cr: float = DEFAULT_WINDOW_M, mode: str = "all") -> SectionReport:
     """Count windows whose samples violate a band.
 
     ``mode="all"`` (the default, and the definition of a critical section)
@@ -127,6 +141,35 @@ def find_critical(flag: ExceedanceSignal, l_cr: float = DEFAULT_WINDOW_M, mode: 
     return SectionReport(
         method="threshold", window_length=l_cr, total_windows=len(spans), rows=[row]
     )
+
+
+def find_critical_bands(
+    space: dict[str, SpaceSeries], bands: dict[tuple[str, str], thresholds.ThresholdBand], l_cr: float
+) -> tuple[dict[tuple[str, str], SectionReport], str]:
+    """Band method over every axis and driving style.
+
+    ``space`` maps the channels ``ax``, ``ay`` and ``az`` to space-domain
+    signals.  Returns one report per (axis, style) and their
+    ``axis,style,C,R_c,N,R_n`` CSV text.
+    """
+    reports = {}
+    lines = ["axis,style,C,R_c,N,R_n\n"]
+    for axis in thresholds.AXES:
+        for style in thresholds.STYLES:
+            flag = thresholds.exceedance(space[f"a{axis}"], bands[(axis, style)])
+            report = reports[(axis, style)] = find_critical(flag, l_cr)
+            row = report.rows[0]
+            lines.append(f"{axis},{style},{row.c},{row.r_c:.2f},{row.n},{row.r_n:.2f}\n")
+    return reports, "".join(lines)
+
+
+def threshold_table(reports: dict[tuple[str, str], SectionReport]) -> str:
+    """Aligned-text table of :func:`find_critical_bands` reports."""
+    lines = ["threshold method", f"{'axis':<6}{'style':<7}{'C':>6}{'R_c [%]':>9}{'N':>7}{'R_n [%]':>9}"]
+    for (axis, style), report in reports.items():
+        row = report.rows[0]
+        lines.append(f"{axis:<6}{style:<7}{row.c:>6}{row.r_c:>9.2f}{row.n:>7}{row.r_n:>9.2f}")
+    return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -156,21 +199,16 @@ def classify_windows_iso(
     """
     if not runs:
         raise InvalidInput("no runs to classify")
-    if reduction not in ("mean", "max"):
+    if reduction not in ISO_REDUCTIONS:
         raise InvalidInput("reduction must be 'mean' or 'max'")
     if weightings is None:
-        weightings = {
-            "x": iso2631.load_weighting("d"),
-            "y": iso2631.load_weighting("d"),
-            "z": iso2631.load_weighting("k"),
-        }
+        weightings = {axis: iso2631.load_weighting(w) for axis, w in iso2631.DEFAULT_WEIGHTINGS.items()}
     start = max(float(r.s.values[0]) for r in runs)
     end = min(float(r.s.values[-1]) for r in runs)
     edges = window_edges(start, end - start, l_cr)
     n_windows = len(edges) - 1
     k_x, k_y, k_z = k_factors
     factors = {"x": k_x, "y": k_y, "z": k_z}
-    channel_of = {"x": "ax", "y": "ay", "z": "az"}
 
     per_run_av = np.empty((len(runs), n_windows))
     for i, run in enumerate(runs):
@@ -180,8 +218,8 @@ def classify_windows_iso(
         if np.any(counts < 1):
             raise InvalidInput("a window holds no samples of a run; shrink the step or grow l_cr")
         total = np.zeros(n_windows)
-        for axis, spec in weightings.items():
-            weighted = iso2631.weight_signal(run.channel(channel_of[axis]), spec).a_w.values
+        for axis, result in iso2631.weight_axes(run, weightings).items():
+            weighted = result.a_w.values
             cs = np.concatenate([[0.0], np.cumsum(weighted * weighted)])
             mean_sq = (cs[idx[1:]] - cs[idx[:-1]]) / counts
             total += (factors[axis] ** 2) * mean_sq
@@ -189,11 +227,7 @@ def classify_windows_iso(
     a_v = per_run_av.mean(axis=0) if reduction == "mean" else per_run_av.max(axis=0)
 
     labels = [iso2631.classify_iso(value).label for value in a_v]
-    rows = []
-    for category in iso2631.COMFORT_LABELS[1:]:  # NU windows are the non-critical rest
-        critical = np.array([lab == category for lab in labels])
-        c = int(critical.sum())
-        rows.append(SectionRow(category=category, c=c, n=n_windows - c, critical_windows=critical))
+    rows = _label_rows(labels, iso2631.COMFORT_LABELS[1:])  # NU windows are the non-critical rest
     report = SectionReport(method="iso2631", window_length=l_cr, total_windows=n_windows, rows=rows)
     return IsoWindows(edges=edges, a_v=a_v, labels=labels, report=report)
 
@@ -217,36 +251,22 @@ def classify_windows_iri(
     """Window-resolved ride-quality classification of a roughness-index signal.
 
     ``speed`` supplies the travel speed [m/s] used for the speed-dependent
-    thresholds: a :class:`SpaceSeries`, a :class:`SpeedProfile`, or a scalar.
+    thresholds: a :class:`SpaceSeries` or a scalar.
     Every window uses its mean index and mean speed.  The VG category is not
     reported (windows below the G band are the non-critical remainder) but
     still appears in the returned labels.
     """
     spans = _window_index_spans(iri_series, l_cr)
     edges = window_edges(iri_series.s0, iri_series.extent, l_cr)
-    centers_values = np.asarray(iri_series.values, dtype=float)
-    positions = iri_series.positions
-
+    values = np.asarray(iri_series.values, dtype=float)
     if isinstance(speed, SpaceSeries):
-        speed_at = lambda s: np.interp(s, speed.positions, speed.values)  # noqa: E731
-    elif isinstance(speed, SpeedProfile):
-        speed_at = speed.at
+        speeds = np.interp(iri_series.positions, speed.positions, speed.values)
     else:
-        v = float(speed)
-        speed_at = lambda s: np.full_like(np.asarray(s, dtype=float), v)  # noqa: E731
-
-    iri_win = np.empty(len(spans))
-    speed_win = np.empty(len(spans))
-    for k, (j0, j1) in enumerate(spans):
-        iri_win[k] = centers_values[j0:j1].mean()
-        speed_win[k] = np.mean(speed_at(positions[j0:j1]))
-    speed_kmh = 3.6 * speed_win
+        speeds = np.full(len(values), float(speed))
+    iri_win = np.array([values[j0:j1].mean() for j0, j1 in spans])
+    speed_kmh = 3.6 * np.array([speeds[j0:j1].mean() for j0, j1 in spans])
     labels = [iri_mod.classify_iri(value, kmh) for value, kmh in zip(iri_win, speed_kmh)]
 
-    rows = []
-    for category in iri_mod.RIDE_QUALITY_LABELS[1:]:  # VG is the unreported remainder
-        critical = np.array([lab == category for lab in labels])
-        c = int(critical.sum())
-        rows.append(SectionRow(category=category, c=c, n=len(spans) - c, critical_windows=critical))
+    rows = _label_rows(labels, iri_mod.RIDE_QUALITY_LABELS[1:])  # VG is the unreported remainder
     report = SectionReport(method="iri", window_length=l_cr, total_windows=len(spans), rows=rows)
     return IriWindows(edges=edges, iri=iri_win, speed_kmh=speed_kmh, labels=labels, report=report)

@@ -21,6 +21,7 @@ from .signals import TimeSeries, VehicleResponse
 
 __all__ = [
     "GRAVITY",
+    "MAX_DT",
     "QuarterCarParams",
     "VehicleGeometry",
     "SpeedProfile",
@@ -34,6 +35,9 @@ __all__ = [
 ]
 
 GRAVITY = 9.80665  # m/s^2
+
+#: Largest simulation step [s] at which the tire spring integrates stably.
+MAX_DT = 0.005
 
 #: Speed controller time constant [s] and acceleration authority [m/s^2 per unit friction].
 _CONTROLLER_TAU = 0.5
@@ -83,20 +87,13 @@ def default_car() -> QuarterCarParams:
 
 @dataclass(frozen=True)
 class VehicleGeometry:
-    """Planar geometry used to turn corner responses into body rates.
-
-    Only wheelbase and track enter the kinematic mapping; center-of-gravity
-    height and the inertias are carried for reporting and parameter studies.
-    """
+    """Planar geometry used to turn corner responses into body rates."""
 
     wheelbase: float = 2.7
     track_width: float = 1.6
-    cg_height: float = 0.55
-    roll_inertia: float = 600.0
-    pitch_inertia: float = 2200.0
 
     def __post_init__(self):
-        for name in ("wheelbase", "track_width", "cg_height", "roll_inertia", "pitch_inertia"):
+        for name in ("wheelbase", "track_width"):
             if not (getattr(self, name) > 0):
                 raise InvalidInput(f"{name} must be > 0")
 
@@ -216,8 +213,8 @@ def corner_response(
     along the initial slope, so a profile that begins smoothly produces no
     startup transient.
     """
-    if dt > 0.005 or dt <= 0:
-        raise InvalidInput("dt must be in (0, 0.005] s")
+    if not (0 < dt <= MAX_DT):
+        raise InvalidInput(f"dt must be in (0, {MAX_DT}] s")
     if speed <= 0:
         raise InvalidInput("speed must be > 0")
     profile = np.asarray(profile, dtype=float)
@@ -321,8 +318,8 @@ def simulate(
     authority and the lateral acceleration, and sustained lateral saturation
     longer than one second flags the run with ``"off-road risk"``.
     """
-    if not (0 < dt <= 0.005):
-        raise InvalidInput("dt must be in (0, 0.005] s (tire spring stability)")
+    if not (0 < dt <= MAX_DT):
+        raise InvalidInput(f"dt must be in (0, {MAX_DT}] s (tire spring stability)")
     rear = rear_params if rear_params is not None else params
     grid = scenario.road
 

@@ -9,6 +9,7 @@ from ridekit.config import load_config
 from ridekit.errors import ConfigError
 from ridekit.pipeline import analyze, build_road, calibrate, generate_road
 from ridekit.road import load_grid
+from ridekit.sampling import lhs
 from ridekit.signals import read_response_csv, write_response_csv
 from ridekit.vehicle import Scenario, default_car, default_geometry, simulate
 
@@ -75,6 +76,27 @@ class TestConfig:
     def test_cli_seed_override_wins(self, tmp_path):
         cfg = load_config(write_config(tmp_path / "c.yaml"), seed=99)
         assert cfg.seed == 99
+
+    @pytest.mark.parametrize(
+        "section, entry",
+        [
+            ("analysis", {"aggregator": "median"}),
+            ("analysis", {"iso_reduction": "rms"}),
+            ("analysis", {"ds": 0.0}),
+            ("analysis", {"weightings": {"x": "d", "z": "q"}}),
+            ("batch", {"dt": 0.01}),
+        ],
+        ids=["aggregator", "iso_reduction", "ds", "weightings", "dt"],
+    )
+    def test_bad_setting_fails_before_any_output(self, tmp_path, capsys, section, entry):
+        path = write_config(tmp_path / "c.yaml")
+        doc = yaml.safe_load(path.read_text())
+        doc[section].update(entry)
+        path.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", str(path), "--out", str(out)]) == 2
+        assert "error [ConfigError]" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGenerateRoad:
@@ -198,6 +220,33 @@ class TestAnalyze:
         assert main(["analyze", "--config", str(config), "--out", str(out2)]) == 0
         for p1 in sorted(out1.iterdir()):
             assert p1.read_bytes() == (out2 / p1.name).read_bytes(), p1.name
+
+
+class TestCliMatchesPipeline:
+    def test_thresholds_cli_reproduces_single_run_bundle(self, tmp_path):
+        config = write_config(
+            tmp_path / "c.yaml",
+            road={"synthetic": {"length": 200.0, "step": 0.1, "roughness_class": "E"}},
+            batch={"n": 1, "dt": 0.002},
+            analysis={"window_m": 1.0, "ds": 0.1, "methods": ["threshold"]},
+        )
+        cfg = load_config(config)
+        row = lhs(cfg.distributions, cfg.n, cfg.seed).row_inputs(0)
+        scenario = Scenario(
+            road=build_road(cfg),
+            target_speed=cfg.target_speed,
+            lane_half_width=cfg.lane_half_width,
+            smoothing=cfg.smoothing,
+        ).with_inputs(**row)
+        trace = tmp_path / "trace.csv"
+        write_response_csv(trace, simulate(scenario, cfg.front, cfg.geometry, dt=cfg.dt, rear_params=cfg.rear))
+        analyze(cfg, tmp_path / "bundle")
+        out = tmp_path / "thresholds.csv"
+        argv = ["thresholds", "--trace", str(trace), "--ds", str(cfg.ds), "--window", str(cfg.window_m)]
+        assert main(argv + ["--out", str(out)]) == 0
+        bundle_report = (tmp_path / "bundle" / "threshold_report.csv").read_bytes()
+        assert out.read_bytes() == bundle_report
+        assert any(int(line.split(",")[2]) > 0 for line in bundle_report.decode().splitlines()[1:])
 
 
 class TestCalibrateCommand:

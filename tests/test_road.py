@@ -10,7 +10,6 @@ from ridekit.road import (
     RoadGrid,
     SmoothingParams,
     SurfaceInterpolator,
-    elevation_at,
     load_grid,
     save_grid,
     straight_grid,
@@ -56,6 +55,23 @@ class TestLoadGrid:
         grid = load_grid(path)
         assert grid.outliers_replaced == 1
         assert grid.elevations[4, 2] == 0.0
+
+    def test_edge_column_outliers_on_crossfall_replace_only_themselves(self, tmp_path):
+        # 2.5 % crossfall; outliers of both signs in the first and last column
+        rng = np.random.default_rng(11)
+        n, offsets = 1000, np.linspace(-2.5, 2.5, 11)
+        profile = np.cumsum(rng.normal(0.0, 5e-4, n))
+        z = profile[:, None] - 0.025 * offsets[None, :] + 2e-4 * rng.normal(size=(n, len(offsets)))
+        planted = [(40 + 30 * k + k % 2, (0, len(offsets) - 1)[k // 2 % 2]) for k in range(12)]
+        for i, j in planted:
+            z[i, j] += 0.05 * (-1) ** i
+        path = tmp_path / "crossfall.txt"
+        write_grid_text(path, 0.1 * np.arange(n), np.zeros(n), profile, z, 0.1, offset_start=-2.5, offset_step=0.5)
+        raw = np.loadtxt(path, skiprows=4)[:, 3:]
+        grid = load_grid(path)
+        changed = sorted(zip(*np.nonzero(grid.elevations != raw)))
+        assert grid.outliers_replaced == len(planted)
+        assert changed == sorted(planted)
 
     def test_round_trip_random_grid(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -110,7 +126,7 @@ class TestLoadGrid:
 class TestElevationAt:
     def test_flat_zero_everywhere(self, flat_grid_file):
         grid = load_grid(flat_grid_file)
-        assert elevation_at(grid, 0.5, -0.3, SmoothingParams()) == pytest.approx(0.0, abs=1e-12)
+        assert SurfaceInterpolator(grid, SmoothingParams()).at(0.5, -0.3) == pytest.approx(0.0, abs=1e-12)
 
     def test_interpolation_reproduces_nodes(self):
         rng = np.random.default_rng(3)
@@ -132,7 +148,7 @@ class TestElevationAt:
             elevations=z,
             grid_step=1.0,
         )
-        value = elevation_at(grid, 5.5, 0.5, SmoothingParams())
+        value = SurfaceInterpolator(grid, SmoothingParams()).at(5.5, 0.5)
         assert value == pytest.approx(0.055, abs=1e-9)
 
     def test_out_of_hull(self):
