@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidInput, OptimizationFailure, ToolkitError
 from .signals import TimeSeries, VehicleResponse, nrmse
-from .vehicle import QuarterCarParams, Scenario, VehicleGeometry, simulate
+from .vehicle import DrivePlan, QuarterCarParams, Scenario, VehicleGeometry, drive_plan, simulate
 
 __all__ = [
     "CALIBRATION_PARAMETERS",
@@ -140,16 +140,20 @@ def evaluate_residual(
     dt: float = 1e-3,
     rear_params: QuarterCarParams | None = None,
     channel_weights: Mapping[str, float] | None = None,
+    plan_for: Callable[[float], DrivePlan] | None = None,
 ) -> Residual:
     """Simulate the scenario and stack per-channel NRMSE against a reference.
 
     Channels absent from the reference are skipped and listed, as are channels
     whose reference has no range (a constant signal cannot normalize an
-    error).  Channel weights default to one.
+    error).  Channel weights default to one.  ``plan_for`` maps the run's
+    friction ``mu_rs * mu_tire`` to a drive plan of this scenario, geometry
+    and ``dt``; without it the plan is built afresh.
     """
     if isinstance(reference, VehicleResponse):
         reference = {name: reference.channel(name) for name in COMPARISON_CHANNELS}
-    sim = simulate(scenario, params, geometry, dt=dt, rear_params=rear_params)
+    plan = plan_for(scenario.mu_rs * params.mu_tire) if plan_for is not None else None
+    sim = simulate(scenario, params, geometry, dt=dt, rear_params=rear_params, plan=plan)
     weights = dict(channel_weights or {})
     channel_nrmse: dict[str, float] = {}
     skipped: list[tuple[str, str]] = []
@@ -177,13 +181,26 @@ def simulation_residual(
     dt: float = 1e-3,
     channel_weights: Mapping[str, float] | None = None,
 ) -> Callable[[Mapping[str, float]], np.ndarray]:
-    """Residual-vector function over named calibration parameters."""
+    """Residual-vector function over named calibration parameters.
+
+    Only ``mu_tire`` changes the drive plan, so the function holds one plan
+    and rebuilds it when the friction of an evaluation differs from the
+    plan's.
+    """
+    current: DrivePlan | None = None
+
+    def plan_for(mu_eff: float) -> DrivePlan:
+        nonlocal current
+        if current is None or current.mu_eff != mu_eff:
+            current = None  # drop the old plan first, so at most one is held
+            current = drive_plan(scenario, geometry, mu_eff, dt)
+        return current
 
     def residual(values: Mapping[str, float]) -> np.ndarray:
         front, rear = apply_parameters(base_front, base_rear, values)
         return evaluate_residual(
             front, scenario, geometry, reference, dt=dt, rear_params=rear,
-            channel_weights=channel_weights,
+            channel_weights=channel_weights, plan_for=plan_for,
         ).vector
 
     return residual

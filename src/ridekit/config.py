@@ -231,6 +231,8 @@ def _load_config(
     ds = float(analysis.get("ds", 0.1))
     if not (ds > 0):
         raise ConfigError("analysis.ds must be > 0")
+    if window_m < ds:
+        raise ConfigError("analysis.window_m must be >= analysis.ds")
     aggregator = _one_of(str(analysis.get("aggregator", "mean")), AGGREGATORS, "analysis.aggregator")
     iso_reduction = _one_of(str(analysis.get("iso_reduction", "mean")), ISO_REDUCTIONS, "analysis.iso_reduction")
     weightings = {str(k): str(v) for k, v in analysis.get("weightings", iso2631.DEFAULT_WEIGHTINGS).items()}
@@ -243,6 +245,12 @@ def _load_config(
 
     iri_entry = raw.get("iri", {})
     _check_keys(iri_entry, {"segment_m", "speed_kmh"}, "iri")
+    iri_segment_m = float(iri_entry.get("segment_m", 5.0))
+    if not (iri_segment_m > 0):
+        raise ConfigError("iri.segment_m must be > 0")
+    iri_speed_kmh = float(iri_entry.get("speed_kmh", 80.0))
+    if not (iri_speed_kmh > 0):
+        raise ConfigError("iri.speed_kmh must be > 0")
 
     vehicle_entry = raw.get("vehicle", {})
     _check_keys(vehicle_entry, {"front", "rear", "geometry"}, "vehicle")
@@ -286,8 +294,8 @@ def _load_config(
         k_factors=tuple(float(x) for x in k_raw),
         bands_file=bands_file,
         iso_reduction=iso_reduction,
-        iri_segment_m=float(iri_entry.get("segment_m", 5.0)),
-        iri_speed_kmh=float(iri_entry.get("speed_kmh", 80.0)),
+        iri_segment_m=iri_segment_m,
+        iri_speed_kmh=iri_speed_kmh,
         front=front,
         rear=rear,
         geometry=geometry,

@@ -8,8 +8,9 @@ sampled at uniform stations plus elevation columns at fixed lateral offsets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import io
+import threading
 
 import numpy as np
 from scipy.interpolate import CubicSpline, RectBivariateSpline, make_smoothing_spline
@@ -41,6 +42,10 @@ REFERENCE_WAVENUMBER = 0.1
 
 #: Hard bound on plausible elevations relative to the reference line [m].
 _ELEVATION_BOUND = 10.0
+
+#: Serialises first builds of a grid's surfaces (batch runs share one grid
+#: across threads, and each surface must be built once).
+_SURFACE_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -127,7 +132,9 @@ class RoadGrid:
 
     ``elevations`` has one row per station and one column per lateral offset.
     ``outliers_replaced`` reports how many cells the load-time cleaning step
-    replaced with the local median.
+    replaced with the local median.  The grid is immutable, so the smoothed
+    surface of each :class:`SmoothingParams` is built once and kept on it
+    (see :meth:`surface`).
     """
 
     ref_line: ReferenceLine
@@ -135,6 +142,7 @@ class RoadGrid:
     elevations: np.ndarray
     grid_step: float
     outliers_replaced: int = 0
+    _surfaces: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.grid_step > 0):
@@ -161,6 +169,15 @@ class RoadGrid:
     @property
     def length(self) -> float:
         return float(self.stations[-1] - self.stations[0])
+
+    def surface(self, params: SmoothingParams | None = None) -> SurfaceInterpolator:
+        """The smoothed surface of this grid under ``params``, built on first use."""
+        params = params or SmoothingParams()
+        with _SURFACE_LOCK:
+            built = self._surfaces.get(params)
+            if built is None:
+                built = self._surfaces[params] = SurfaceInterpolator(self, params)
+        return built
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +365,17 @@ class SurfaceInterpolator:
             out = np.interp(s, self.grid.stations, self._z[:, 0])
         return float(out) if out.ndim == 0 else out
 
+    def track(self, s: np.ndarray, v: float) -> np.ndarray:
+        """Elevations at increasing stations ``s`` along one lateral offset ``v``.
+
+        Equal to ``at(s, v)`` point for point, from one tensor-product
+        evaluation of the spline instead of one evaluation per point.
+        """
+        if self._surface is None:
+            return np.asarray(self.at(s, v), dtype=float)
+        self._check_hull(s, v)
+        return self._surface(np.asarray(s, dtype=float), [float(v)])[:, 0]
+
 
 def wheel_track_profile(
     grid: RoadGrid,
@@ -360,14 +388,14 @@ def wheel_track_profile(
     Sampled at uniform ``step`` starting from the first station; this is the
     smoothed elevation input consumed by the roughness index and the vehicle
     corners.  ``lambda_z`` applies a final 1-D smoothing pass to the extracted
-    profile.
+    profile.  Every call on one grid with equal ``params`` reads the same
+    surface (:meth:`RoadGrid.surface`).
     """
     params = params or SmoothingParams()
-    interp = SurfaceInterpolator(grid, params)
     stations = grid.stations
     n = int(np.floor((stations[-1] - stations[0]) / step + 1e-9)) + 1
     s = stations[0] + step * np.arange(n)
-    profile = np.asarray(interp.at(s, lateral_offset), dtype=float)
+    profile = grid.surface(params).track(s, lateral_offset)
     if params.lambda_z > 0 and len(profile) >= 4:
         profile = make_smoothing_spline(s, profile, lam=params.lambda_z)(s)
     return profile

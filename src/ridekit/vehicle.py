@@ -5,7 +5,9 @@ One :func:`simulate` call produces every channel of a
 a rate-limited first-order controller, lateral acceleration from reference-line
 curvature under a friction cap, and vertical dynamics from four independently
 excited quarter-car corners combined into heave, roll rate and pitch rate by
-rigid-body kinematics.
+rigid-body kinematics.  The first two and the wheel inputs do not depend on
+the corner parameters: :func:`drive_plan` builds them once and
+:func:`corner_dynamics` runs any corner parameters over that plan.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ __all__ = [
     "default_geometry",
     "corner_system",
     "corner_response",
+    "DrivePlan",
+    "drive_plan",
+    "corner_dynamics",
     "simulate",
 ]
 
@@ -191,13 +196,16 @@ class CornerResponse:
     acceleration: TimeSeries
 
 
-def _integrate_corner(a, b, h_half: np.ndarray, dt: float) -> np.ndarray:
-    """Integrate one corner for elevation input on the half grid."""
+def _corner_input(h_half: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """RK4 input [h, h'] of one corner on the half grid, and its starting state.
+
+    The corner starts in static equilibrium on the initial elevation, rolling
+    along the initial slope.
+    """
     hdot = np.gradient(h_half, dt / 2.0)
     u = np.column_stack([h_half, hdot])
-    slope0 = hdot[0]
-    x0 = np.array([h_half[0], slope0, h_half[0], slope0])
-    return rk4_lti(a, b, u, dt, x0)
+    x0 = np.array([h_half[0], hdot[0], h_half[0], hdot[0]])
+    return u, x0
 
 
 def corner_response(
@@ -230,7 +238,8 @@ def corner_response(
     grid_s = step * np.arange(len(profile))
     h_half = np.interp(s_half, grid_s, profile)
     a, b = corner_system(params)
-    states = _integrate_corner(a, b, h_half, dt)
+    u, x0 = _corner_input(h_half, dt)
+    states = rk4_lti(a, b, u, dt, x0)
     accel = states @ a[1]
     return CornerResponse(
         displacement=TimeSeries(0.0, dt, states[:, 0], "m"),
@@ -303,32 +312,49 @@ def _track_speed(
     return np.asarray(vv), np.asarray(aa), np.asarray(ss)
 
 
-def simulate(
-    scenario: Scenario,
-    params: QuarterCarParams,
-    geometry: VehicleGeometry,
-    dt: float = 1e-3,
-    rear_params: QuarterCarParams | None = None,
-) -> VehicleResponse:
-    """Run the lumped vehicle over the scenario's road.
+@dataclass(frozen=True, eq=False)
+class DrivePlan:
+    """The part of one run that does not depend on the corner parameters.
 
-    ``params`` parameterizes the front corners; ``rear_params`` (default: same
-    as front) the rear corners, assuming left/right symmetry.  The available
-    friction is ``mu_rs * mu_tire``; it caps both the controller's acceleration
-    authority and the lateral acceleration, and sustained lateral saturation
-    longer than one second flags the run with ``"off-road risk"``.
+    Built by :func:`drive_plan` from the scenario, the geometry, ``dt`` and
+    the available friction ``mu_eff = mu_rs * mu_tire``: the speed
+    trajectory, the lateral channels with the off-road warning, and the
+    half-grid input ``(u, x0)`` of each corner in the order front-left,
+    front-right, rear-left, rear-right.  When both wheel tracks read the same
+    profile the right-side entries are the left-side ones.
+    """
+
+    scenario: Scenario
+    geometry: VehicleGeometry
+    dt: float
+    mu_eff: float
+    v_x: np.ndarray
+    a_x: np.ndarray
+    a_y: np.ndarray
+    psi_rate: np.ndarray
+    s: np.ndarray
+    warnings: tuple[str, ...]
+    wheels: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    @property
+    def same_sides(self) -> bool:
+        return self.wheels[1] is self.wheels[0]
+
+
+def drive_plan(scenario: Scenario, geometry: VehicleGeometry, mu_eff: float, dt: float = 1e-3) -> DrivePlan:
+    """Speed, lateral channels and wheel inputs of a run with friction ``mu_eff``.
+
+    The friction caps both the controller's acceleration authority and the
+    lateral acceleration; sustained lateral saturation longer than one second
+    flags the run with ``"off-road risk"``.
     """
     if not (0 < dt <= MAX_DT):
         raise InvalidInput(f"dt must be in (0, {MAX_DT}] s (tire spring stability)")
-    rear = rear_params if rear_params is not None else params
     grid = scenario.road
-
-    mu_eff = scenario.mu_rs * params.mu_tire
-    a_lim = _ACCEL_AUTHORITY * mu_eff
     s_end = float(grid.stations[-1])
     s_start = float(grid.stations[0])
 
-    v_arr, ax_arr, s_arr = _track_speed(scenario, a_lim, dt)
+    v_arr, ax_arr, s_arr = _track_speed(scenario, _ACCEL_AUTHORITY * mu_eff, dt)
 
     # --- lateral / yaw ----------------------------------------------------------
     kappa = grid.ref_line.curvature_at(s_arr)
@@ -349,7 +375,7 @@ def simulate(
             warnings = ("off-road risk",)
     psi_rate = np.degrees(v_arr * kappa)
 
-    # --- vertical: four corners --------------------------------------------------
+    # --- wheel inputs -------------------------------------------------------------
     offsets = (scenario.l_p + geometry.track_width / 2.0, scenario.l_p - geometry.track_width / 2.0)
     prof_step = grid.grid_step
     prof_s = grid.stations[0] + prof_step * np.arange(
@@ -357,25 +383,63 @@ def simulate(
     )
     left = wheel_track_profile(grid, offsets[0], scenario.smoothing, prof_step)
     right = wheel_track_profile(grid, offsets[1], scenario.smoothing, prof_step)
-    same_sides = np.array_equal(left, right)
 
     s_half = half_grid_input(s_arr)
     s_rear_half = s_half - geometry.wheelbase
 
+    def wheel(profile_values: np.ndarray, s_points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _corner_input(np.interp(s_points, prof_s, profile_values), dt)
+
+    fl, rl = wheel(left, s_half), wheel(left, s_rear_half)
+    if np.array_equal(left, right):
+        fr, rr = fl, rl
+    else:
+        fr, rr = wheel(right, s_half), wheel(right, s_rear_half)
+
+    return DrivePlan(
+        scenario=scenario,
+        geometry=geometry,
+        dt=dt,
+        mu_eff=mu_eff,
+        v_x=v_arr,
+        a_x=ax_arr,
+        a_y=a_y,
+        psi_rate=psi_rate,
+        s=s_arr,
+        warnings=warnings,
+        wheels=(fl, fr, rl, rr),
+    )
+
+
+def corner_dynamics(
+    plan: DrivePlan,
+    params: QuarterCarParams,
+    rear_params: QuarterCarParams | None = None,
+) -> VehicleResponse:
+    """Drive the four corners through a plan and assemble the full response.
+
+    ``params`` parameterizes the front corners; ``rear_params`` (default: same
+    as front) the rear corners, assuming left/right symmetry.  The corner
+    responses combine into heave acceleration and roll and pitch rates by
+    rigid-body kinematics.
+    """
+    rear = rear_params if rear_params is not None else params
+    geometry = plan.geometry
     front_sys = corner_system(params)
     rear_sys = corner_system(rear)
 
-    def corner(profile_values: np.ndarray, s_points: np.ndarray, system) -> np.ndarray:
-        h_half = np.interp(s_points, prof_s, profile_values)
-        return _integrate_corner(system[0], system[1], h_half, dt)
+    def corner(wheel: tuple[np.ndarray, np.ndarray], system) -> np.ndarray:
+        u, x0 = wheel
+        return rk4_lti(system[0], system[1], u, plan.dt, x0)
 
-    fl = corner(left, s_half, front_sys)
-    rl = corner(left, s_rear_half, rear_sys)
-    if same_sides:
+    fl_in, fr_in, rl_in, rr_in = plan.wheels
+    fl = corner(fl_in, front_sys)
+    rl = corner(rl_in, rear_sys)
+    if plan.same_sides:
         fr, rr = fl, rl
     else:
-        fr = corner(right, s_half, front_sys)
-        rr = corner(right, s_rear_half, rear_sys)
+        fr = corner(fr_in, front_sys)
+        rr = corner(rr_in, rear_sys)
 
     a_front, _ = front_sys
     a_rear, _ = rear_sys
@@ -390,16 +454,40 @@ def simulate(
     phi_rate = np.degrees((zdot_left - zdot_right) / geometry.track_width)
 
     def series(values: np.ndarray, unit: str) -> TimeSeries:
-        return TimeSeries(0.0, dt, values, unit)
+        return TimeSeries(0.0, plan.dt, values, unit)
 
     return VehicleResponse(
-        v_x=series(v_arr, "m/s"),
-        a_x=series(ax_arr, "m/s^2"),
-        a_y=series(a_y, "m/s^2"),
+        v_x=series(plan.v_x, "m/s"),
+        a_x=series(plan.a_x, "m/s^2"),
+        a_y=series(plan.a_y, "m/s^2"),
         a_z=series(a_z, "m/s^2"),
         phi_rate=series(phi_rate, "deg/s"),
         theta_rate=series(theta_rate, "deg/s"),
-        psi_rate=series(psi_rate, "deg/s"),
-        s=series(s_arr, "m"),
-        warnings=warnings,
+        psi_rate=series(plan.psi_rate, "deg/s"),
+        s=series(plan.s, "m"),
+        warnings=plan.warnings,
     )
+
+
+def simulate(
+    scenario: Scenario,
+    params: QuarterCarParams,
+    geometry: VehicleGeometry,
+    dt: float = 1e-3,
+    rear_params: QuarterCarParams | None = None,
+    plan: DrivePlan | None = None,
+) -> VehicleResponse:
+    """Run the lumped vehicle over the scenario's road.
+
+    ``params`` parameterizes the front corners; ``rear_params`` (default: same
+    as front) the rear corners.  The available friction is
+    ``mu_rs * mu_tire``.  This is :func:`drive_plan` followed by
+    :func:`corner_dynamics`; pass ``plan`` to reuse a plan already built for
+    this scenario, geometry, ``dt`` and friction.
+    """
+    mu_eff = scenario.mu_rs * params.mu_tire
+    if plan is None:
+        plan = drive_plan(scenario, geometry, mu_eff, dt)
+    elif plan.scenario is not scenario or plan.geometry != geometry or plan.dt != dt or plan.mu_eff != mu_eff:
+        raise InvalidInput("the drive plan was built for another scenario, geometry, dt or friction")
+    return corner_dynamics(plan, params, rear_params)

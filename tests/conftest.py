@@ -64,6 +64,20 @@ def bump_event_road(length=300.0, step=0.05, curve=(120.0, 220.0, 45.0)):
     return road.RoadGrid(ref_line=ref, lateral_offsets=offsets, elevations=z, grid_step=step)
 
 
+def curved_crossfall_grid(length=100.0, step=0.05, seed=3):
+    """Grid with an arc, a 1 % grade, 2.5 % crossfall, random roughness and
+    unevenly spaced offset columns, starting at chainage 100 m."""
+    n = int(round(length / step)) + 1
+    s = 100.0 + step * np.arange(n)
+    curvature = np.where((s > 130.0) & (s < 170.0), 1.0 / 60.0, 0.0)
+    headings = np.concatenate([[0.0], np.cumsum(0.5 * (curvature[:-1] + curvature[1:]) * step)])
+    ref = road.ReferenceLine.from_geometry(s, headings, 0.01 * s)
+    offsets = np.array([-2.5, -1.7, -0.6, 0.0, 0.4, 1.5, 2.6])
+    noise = 0.003 * np.random.default_rng(seed).standard_normal((n, len(offsets)))
+    z = ref.elevation[:, None] + 0.025 * offsets[None, :] + noise
+    return road.RoadGrid(ref_line=ref, lateral_offsets=offsets, elevations=z, grid_step=step)
+
+
 def calibration_scenario(length=300.0):
     """Bump road with an active lateral cap and a saturating speed step."""
     grid = bump_event_road(length=length)

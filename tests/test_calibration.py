@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ridekit import calibration, vehicle
 from ridekit.calibration import (
     CALIBRATION_PARAMETERS,
     BoxConstraints,
@@ -175,6 +176,50 @@ class TestResidual:
         assert reasons.get("psi_rate") == "reference has zero range"
         assert "ay" not in residual.channel_nrmse
         assert {"vx", "ax"} <= set(residual.channel_nrmse)
+
+
+class TestHeldPlan:
+    def test_residual_never_reuses_a_stale_plan(self, calib_setup, geometry):
+        # the second and third points share a friction, the others change it
+        scenario, base, _, reference = calib_setup
+        for mus in ((0.9, 1.2), (1.2, 0.9)):
+            residual = simulation_residual(scenario, geometry, reference, base, base, dt=1e-3)
+            points = (
+                {"mu_tire": mus[0]},
+                {"mu_tire": mus[1]},
+                {"mu_tire": mus[1], "k_tire": 280000.0},
+                {"mu_tire": mus[0], "k_tire": 280000.0},
+            )
+            for values in points:
+                front, rear = apply_parameters(base, base, values)
+                direct = evaluate_residual(front, scenario, geometry, reference, dt=1e-3, rear_params=rear)
+                assert np.array_equal(residual(values), direct.vector), values
+
+    def test_chain_runs_speed_loop_only_when_friction_changes(self, calib_setup, geometry, monkeypatch):
+        scenario, base, _, reference = calib_setup
+        frictions, loops = [], []
+        simulate, track_speed = calibration.simulate, vehicle._track_speed
+
+        def recording_simulate(scenario, params, *args, **kwargs):
+            frictions.append(scenario.mu_rs * params.mu_tire)
+            return simulate(scenario, params, *args, **kwargs)
+
+        def counting_track_speed(*args):
+            loops.append(1)
+            return track_speed(*args)
+
+        monkeypatch.setattr(calibration, "simulate", recording_simulate)
+        monkeypatch.setattr(vehicle, "_track_speed", counting_track_speed)
+        chain = OptimizationChain.default()
+        constraints = BoxConstraints.vehicle_defaults()
+        p0 = dict(zip(chain.parameters, constraints.midpoint(chain.parameters)))
+        residual = simulation_residual(scenario, geometry, reference, base, base, dt=1e-3)
+        assert run_chain(chain, p0, residual, constraints).completed
+        # one plan is held: a friction seen before is rebuilt only after another
+        # friction came in between (once, where the mu_tire stage hands over)
+        changes = 1 + sum(a != b for a, b in zip(frictions, frictions[1:]))
+        assert len(loops) == changes <= len(set(frictions)) + 1
+        assert len(loops) < len(frictions) / 5
 
 
 class TestRecovery:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
+from ridekit import road
 from ridekit.cli import main
 from ridekit.config import load_config
 from ridekit.errors import ConfigError
@@ -85,8 +86,11 @@ class TestConfig:
             ("analysis", {"ds": 0.0}),
             ("analysis", {"weightings": {"x": "d", "z": "q"}}),
             ("batch", {"dt": 0.01}),
+            ("iri", {"segment_m": 0.0}),
+            ("iri", {"speed_kmh": -10.0}),
+            ("analysis", {"window_m": 0.05}),
         ],
-        ids=["aggregator", "iso_reduction", "ds", "weightings", "dt"],
+        ids=["aggregator", "iso_reduction", "ds", "weightings", "dt", "segment_m", "speed_kmh", "window_below_ds"],
     )
     def test_bad_setting_fails_before_any_output(self, tmp_path, capsys, section, entry):
         path = write_config(tmp_path / "c.yaml")
@@ -220,6 +224,24 @@ class TestAnalyze:
         assert main(["analyze", "--config", str(config), "--out", str(out2)]) == 0
         for p1 in sorted(out1.iterdir()):
             assert p1.read_bytes() == (out2 / p1.name).read_bytes(), p1.name
+
+
+class TestSharedWork:
+    def test_analyze_builds_the_surface_once(self, tmp_path, monkeypatch):
+        # every wheel track of every run and the IRI track read one surface
+        builds = []
+
+        class CountingSurface(road.SurfaceInterpolator):
+            def __init__(self, *args, **kwargs):
+                builds.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(road, "SurfaceInterpolator", CountingSurface)
+        cfg = load_config(write_config(tmp_path / "c.yaml"))
+        summary = analyze(cfg, tmp_path / "out")
+        assert set(summary["reports"]) == {"threshold", "iso", "iri"}
+        assert cfg.n == 3 and summary["failures"] == []
+        assert len(builds) == 1
 
 
 class TestCliMatchesPipeline:

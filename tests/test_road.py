@@ -17,6 +17,8 @@ from ridekit.road import (
     wheel_track_profile,
 )
 
+from conftest import curved_crossfall_grid
+
 
 def write_grid_text(path, stations, headings, ref_elev, z, step, offset_start=-1.0, offset_step=1.0):
     n_off = z.shape[1]
@@ -249,6 +251,20 @@ class TestWheelTrack:
         grid = load_grid(flat_grid_file)
         with pytest.raises(DomainBoundsError):
             wheel_track_profile(grid, 5.0, step=0.5)
+
+    def test_equals_pointwise_surface_queries(self):
+        # the track reads a surface kept on the grid, evaluated on a tensor
+        # grid; it must equal a fresh surface queried point by point
+        grid = curved_crossfall_grid()
+        params = SmoothingParams(lambda_x=1e-3)
+        reference = SurfaceInterpolator(grid, params)
+        for offset in (-2.5, -0.8, 0.0, 0.35, 2.6):
+            for step in (0.05, 0.07):
+                profile = wheel_track_profile(grid, offset, params, step=step)
+                s = grid.stations[0] + step * np.arange(len(profile))
+                assert np.array_equal(profile, reference.at(s, offset))
+        with pytest.raises(DomainBoundsError):
+            wheel_track_profile(grid, 2.7, params, step=0.05)
 
 
 class TestInvariants:

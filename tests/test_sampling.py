@@ -1,8 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 
+from ridekit import road
 from ridekit.errors import ConfigError, InvalidInput
-from ridekit.road import straight_grid, synth_profile
+from ridekit.road import SmoothingParams, straight_grid, synth_profile
 from ridekit.sampling import (
     InputDistribution,
     SamplePlan,
@@ -11,6 +14,8 @@ from ridekit.sampling import (
     run_batch,
 )
 from ridekit.vehicle import Scenario, SpeedProfile, simulate
+
+from conftest import curved_crossfall_grid
 
 
 class TestDistributions:
@@ -157,3 +162,40 @@ class TestRunBatch:
         flipped = run_batch(permuted, scenario, car, geometry, dt=2e-3)
         for a, b in zip(batch.responses, flipped.responses[::-1]):
             assert np.array_equal(a.a_z.values, b.a_z.values)
+
+    @pytest.mark.parametrize("jobs", [2, 4])
+    def test_threads_share_one_surface_and_match_serial(self, car, geometry, monkeypatch, jobs):
+        builds = []
+
+        class CountingSurface(road.SurfaceInterpolator):
+            def __init__(self, *args, **kwargs):
+                builds.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(road, "SurfaceInterpolator", CountingSurface)
+        matrix = lhs(default_input_distributions(), 6, seed=13).matrix.copy()
+        matrix[2, 0] = -15.0  # commands negative speed -> row 2 fails
+        plan = SamplePlan(names=("v_dev", "l_p", "mu_rs"), matrix=matrix, seed=13)
+
+        def batch(jobs):
+            scenario = Scenario(
+                road=curved_crossfall_grid(), target_speed=SpeedProfile.constant(15.0),
+                smoothing=SmoothingParams(lambda_x=1e-3),
+            )
+            return run_batch(plan, scenario, car, geometry, dt=2e-3, jobs=jobs)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so a racing first build would show
+        try:
+            threaded = batch(jobs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(builds) == 1
+        serial = batch(1)
+        assert threaded.failures == serial.failures
+        assert [i for i, _ in serial.failures] == [2]
+        for a, b in zip(serial.responses, threaded.responses, strict=True):
+            assert (a is None) == (b is None)
+            if a is not None:
+                for name in ("vx", "ay", "az", "phi_rate", "theta_rate", "s"):
+                    assert np.array_equal(a.channel(name).values, b.channel(name).values)

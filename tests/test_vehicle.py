@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from ridekit.errors import InvalidInput
-from ridekit.road import ReferenceLine, RoadGrid, straight_grid, synth_profile
+from ridekit.road import ReferenceLine, RoadGrid, SmoothingParams, straight_grid, synth_profile
 from ridekit.vehicle import (
     GRAVITY,
     CornerResponse,
@@ -12,8 +14,11 @@ from ridekit.vehicle import (
     VehicleGeometry,
     corner_response,
     corner_system,
+    drive_plan,
     simulate,
 )
+
+from conftest import curved_crossfall_grid
 
 
 def curved_grid(length=400.0, radius=200.0, step=0.5, profile=None):
@@ -204,3 +209,35 @@ def _sprung_transfer(params: QuarterCarParams, omega: float) -> complex:
     # solve [a11 a12; a21 a22] [zs; zu] = [0; rhs]
     zs = -a12 * rhs / det
     return zs
+
+
+class TestDrivePlan:
+    CHANNELS = ("vx", "ax", "ay", "az", "phi_rate", "theta_rate", "psi_rate", "s")
+
+    def test_reused_plan_equals_fresh_simulate(self, car, geometry):
+        speed = SpeedProfile(breakpoints=np.array([100.0, 150.0, 200.0]), speeds=np.array([12.0, 9.0, 15.0]))
+        scenario = Scenario(
+            road=curved_crossfall_grid(), target_speed=speed, l_p=0.3, mu_rs=0.8,
+            smoothing=SmoothingParams(lambda_x=1e-3),
+        )
+        plan = drive_plan(scenario, geometry, scenario.mu_rs * car.mu_tire, dt=1e-3)
+        assert not plan.same_sides
+        stiff = replace(car, k_s=34000.0, k_t=380000.0, d_t=4500.0)
+        for front, rear in ((car, None), (stiff, car), (car, stiff)):
+            fresh = simulate(scenario, front, geometry, dt=1e-3, rear_params=rear)
+            reused = simulate(scenario, front, geometry, dt=1e-3, rear_params=rear, plan=plan)
+            for name in self.CHANNELS:
+                assert np.array_equal(fresh.channel(name).values, reused.channel(name).values), name
+            assert fresh.warnings == reused.warnings
+
+    def test_plan_of_other_inputs_rejected(self, car, geometry, class_c_grid):
+        scenario = Scenario(road=class_c_grid, target_speed=20.0)
+        plan = drive_plan(scenario, geometry, car.mu_tire, dt=1e-3)
+        for call in (
+            lambda: simulate(scenario, replace(car, mu_tire=1.1), geometry, dt=1e-3, plan=plan),
+            lambda: simulate(scenario, car, geometry, dt=2e-3, plan=plan),
+            lambda: simulate(scenario, car, VehicleGeometry(wheelbase=3.0), dt=1e-3, plan=plan),
+            lambda: simulate(scenario.with_inputs(0.5, 0.0, 1.0), car, geometry, dt=1e-3, plan=plan),
+        ):
+            with pytest.raises(InvalidInput, match="drive plan"):
+                call()
