@@ -1,7 +1,7 @@
 """Command line interface.
 
 Subcommands: generate-road, analyze, calibrate, iri, iso, thresholds,
-sample-plan.  Global flags --config/--seed/--out/--jobs apply where they make
+sample-plan.  Global flags --config/--seed/--out apply where they make
 sense; every failure exits nonzero with a one-line structured message.
 """
 
@@ -25,7 +25,6 @@ def _common_flags(parser: argparse.ArgumentParser, config_required: bool = True)
     parser.add_argument("--config", required=config_required, help="YAML config file")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default=None, help="output file or directory")
-    parser.add_argument("--jobs", type=int, default=None, help="parallel simulation workers")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -79,7 +78,7 @@ def _cmd_generate_road(args) -> int:
 
 def _cmd_analyze(args) -> int:
     methods = tuple(args.methods.split(",")) if args.methods else None
-    cfg = load_config(args.config, seed=args.seed, out_dir=args.out, jobs=args.jobs, methods=methods)
+    cfg = load_config(args.config, seed=args.seed, out_dir=args.out, methods=methods)
     analyze(cfg, cfg.out_dir)
     print(f"wrote report bundle to {cfg.out_dir}")
     return 0

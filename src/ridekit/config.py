@@ -46,7 +46,6 @@ class PipelineConfig:
     distributions: list[InputDistribution] = field(default_factory=default_input_distributions)
     n: int = 50
     dt: float = 1e-3
-    jobs: int = 1
     window_m: float = 5.0
     ds: float = 0.1
     methods: tuple[str, ...] = _METHODS
@@ -129,21 +128,18 @@ def load_config(
     path,
     seed: int | None = None,
     out_dir: str | None = None,
-    jobs: int | None = None,
     methods: tuple[str, ...] | None = None,
 ) -> PipelineConfig:
     """Parse and validate a YAML config file; CLI overrides win over the file."""
     try:
-        return _load_config(path, seed=seed, out_dir=out_dir, jobs=jobs, methods=methods)
+        return _load_config(path, seed=seed, out_dir=out_dir, methods=methods)
     except ConfigError:
         raise
     except (TypeError, ValueError, AttributeError) as exc:
         raise ConfigError(f"invalid value in config {path}: {exc}") from exc
 
 
-def _load_config(
-    path, seed: int | None, out_dir: str | None, jobs: int | None, methods: tuple[str, ...] | None
-) -> PipelineConfig:
+def _load_config(path, seed: int | None, out_dir: str | None, methods: tuple[str, ...] | None) -> PipelineConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
@@ -164,6 +160,8 @@ def _load_config(
         _check_keys(synth, {"length", "step", "roughness_class", "lateral_span", "offset_step", "patch"}, "road.synthetic")
         length = float(_require(synth, "length", "road.synthetic"))
         step = float(synth.get("step", 0.1))
+        if not (step > 0):
+            raise ConfigError("road.synthetic.step must be > 0")
         klass = str(_require(synth, "roughness_class", "road.synthetic")).upper()
         _one_of(klass, ROUGHNESS_PSD_SCALE, "road.synthetic.roughness_class")
         patch = synth.get("patch")
@@ -199,7 +197,7 @@ def _load_config(
     speed_given = "profile" in scenario or "target_speed_kmh" in scenario
 
     batch = raw.get("batch", {})
-    _check_keys(batch, {"n", "dt", "jobs"}, "batch")
+    _check_keys(batch, {"n", "dt"}, "batch")
     n = int(batch.get("n", 50))
     if n < 1:
         raise ConfigError("batch.n must be >= 1")
@@ -248,6 +246,8 @@ def _load_config(
     iri_segment_m = float(iri_entry.get("segment_m", 5.0))
     if not (iri_segment_m > 0):
         raise ConfigError("iri.segment_m must be > 0")
+    if road_synthetic is not None and round(iri_segment_m / road_synthetic["step"]) < 1:
+        raise ConfigError("iri.segment_m must cover at least one road.synthetic.step")
     iri_speed_kmh = float(iri_entry.get("speed_kmh", 80.0))
     if not (iri_speed_kmh > 0):
         raise ConfigError("iri.speed_kmh must be > 0")
@@ -272,6 +272,22 @@ def _load_config(
     else:
         chain = OptimizationChain.default()
     p0 = {str(k): float(v) for k, v in calib.get("p0", {}).items()} or None
+    if p0 is not None:
+        for name, value in p0.items():
+            if name not in CALIBRATION_PARAMETERS:
+                raise ConfigError(f"calibration.p0 parameter {name!r} unknown")
+            lo, hi = CALIBRATION_PARAMETERS[name]
+            if not (lo <= value <= hi):
+                raise ConfigError(f"calibration.p0.{name} {value} outside its bounds [{lo}, {hi}]")
+        missing = [name for name in chain.parameters if name not in p0]
+        if missing:
+            raise ConfigError(f"calibration.p0 misses chain parameters {missing}")
+    tol = float(calib.get("tol", 1e-12))
+    if not (tol >= 0):
+        raise ConfigError("calibration.tol must be >= 0")
+    max_iter = int(calib.get("max_iter", 60))
+    if max_iter < 1:
+        raise ConfigError("calibration.max_iter must be >= 1")
 
     return PipelineConfig(
         raw=raw,
@@ -285,7 +301,6 @@ def _load_config(
         distributions=distributions,
         n=n,
         dt=dt,
-        jobs=int(jobs if jobs is not None else batch.get("jobs", 1)),
         window_m=window_m,
         ds=ds,
         methods=methods,
@@ -301,8 +316,8 @@ def _load_config(
         geometry=geometry,
         calibration_chain=chain,
         calibration_p0=p0,
-        calibration_tol=float(calib.get("tol", 1e-12)),
-        calibration_max_iter=int(calib.get("max_iter", 60)),
+        calibration_tol=tol,
+        calibration_max_iter=max_iter,
     )
 
 

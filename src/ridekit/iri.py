@@ -95,17 +95,12 @@ class GoldenCarParams:
 
 @dataclass(frozen=True)
 class IriResult:
-    """Roughness of one segment.
-
-    ``suspension_rate`` holds the |z_s' - z_u'| samples inside the segment so
-    position-resolved plots can be produced without re-integrating.
-    """
+    """Roughness of one segment."""
 
     iri: float
     segment_length: float
     speed: float
     s_start: float
-    suspension_rate: np.ndarray
 
     def __post_init__(self):
         if self.iri < 0 or self.segment_length <= 0:
@@ -164,8 +159,7 @@ def compute_iri(
     for k in range(n_segments):
         i0 = k * per_segment
         i1 = i0 + per_segment
-        seg_rate = rate[i0 : i1 + 1]
-        accumulated = float(np.trapezoid(seg_rate, dx=dt))
+        accumulated = float(np.trapezoid(rate[i0 : i1 + 1], dx=dt))
         seg_len = per_segment * step
         results.append(
             IriResult(
@@ -173,7 +167,6 @@ def compute_iri(
                 segment_length=seg_len,
                 speed=speed,
                 s_start=i0 * step,
-                suspension_rate=seg_rate,
             )
         )
     return results

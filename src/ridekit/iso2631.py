@@ -221,15 +221,14 @@ def design_filter(spec: FilterSpec, sample_rate: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WeightedResult:
-    """Frequency-weighted signal, its RMS, and the evaluation duration."""
+    """Frequency-weighted signal and its RMS."""
 
     a_w: TimeSeries
     a_w_rms: float
-    duration_T: float
 
     def __post_init__(self):
-        if self.a_w_rms < 0 or self.duration_T <= 0:
-            raise InvalidInput("a_w_rms must be >= 0 and duration_T > 0")
+        if self.a_w_rms < 0:
+            raise InvalidInput("a_w_rms must be >= 0")
 
 
 def weight_signal(a: TimeSeries, spec: FilterSpec) -> WeightedResult:
@@ -243,11 +242,7 @@ def weight_signal(a: TimeSeries, spec: FilterSpec) -> WeightedResult:
     sos = design_filter(spec, 1.0 / a.dt)
     weighted = sosfilt(sos, a.values)
     rms = float(np.sqrt(np.mean(weighted * weighted)))
-    return WeightedResult(
-        a_w=TimeSeries(a.t0, a.dt, weighted, a.unit),
-        a_w_rms=rms,
-        duration_T=a.duration,
-    )
+    return WeightedResult(a_w=TimeSeries(a.t0, a.dt, weighted, a.unit), a_w_rms=rms)
 
 
 def weight_axes(run: VehicleResponse, weightings: dict[str, FilterSpec]) -> dict[str, WeightedResult]:
@@ -257,12 +252,9 @@ def weight_axes(run: VehicleResponse, weightings: dict[str, FilterSpec]) -> dict
 
 @dataclass(frozen=True)
 class CombinedVibration:
-    """Total vibration value and the per-axis weighting factors that formed it."""
+    """Total vibration value."""
 
     a_v: float
-    k_x: float = 1.0
-    k_y: float = 1.0
-    k_z: float = 1.0
 
     def __post_init__(self):
         if self.a_v < 0:
@@ -281,7 +273,7 @@ def combine(
     if min(ax_rms, ay_rms, az_rms) < 0:
         raise InvalidInput("axis RMS values must be >= 0")
     a_v = math.sqrt((k_x * ax_rms) ** 2 + (k_y * ay_rms) ** 2 + (k_z * az_rms) ** 2)
-    return CombinedVibration(a_v=a_v, k_x=k_x, k_y=k_y, k_z=k_z)
+    return CombinedVibration(a_v=a_v)
 
 
 class IsoClassification(NamedTuple):

@@ -109,9 +109,7 @@ def analyze(cfg: PipelineConfig, out_dir) -> dict:
     plan = sampling.lhs(cfg.distributions, cfg.n, cfg.seed)
     _write(out_dir, "sample_plan.csv", plan.to_csv_text(), outputs)
 
-    batch = sampling.run_batch(
-        plan, scenario, cfg.front, cfg.geometry, dt=cfg.dt, rear_params=cfg.rear, jobs=cfg.jobs
-    )
+    batch = sampling.run_batch(plan, scenario, cfg.front, cfg.geometry, dt=cfg.dt, rear_params=cfg.rear)
     runs = batch.successful()
     fail_text = "row,reason\n" + "".join(f"{i},{reason}\n" for i, reason in batch.failures)
     _write(out_dir, "failures.csv", fail_text, outputs)

@@ -43,8 +43,8 @@ REFERENCE_WAVENUMBER = 0.1
 #: Hard bound on plausible elevations relative to the reference line [m].
 _ELEVATION_BOUND = 10.0
 
-#: Serialises first builds of a grid's surfaces (batch runs share one grid
-#: across threads, and each surface must be built once).
+#: Serialises first builds of a grid's surfaces: callers may share one grid
+#: across their own threads, and each surface must be built once.
 _SURFACE_LOCK = threading.Lock()
 
 
@@ -52,15 +52,12 @@ _SURFACE_LOCK = threading.Lock()
 class ReferenceLine:
     """Track reference line sampled at strictly increasing stations.
 
-    ``headings`` are in radians, ``slope`` in percent, ``curvature`` in 1/m.
-    ``xy`` holds planar coordinates integrated from the headings.
+    ``headings`` are in radians, ``curvature`` in 1/m.
     """
 
     stations: np.ndarray
     headings: np.ndarray
-    xy: np.ndarray
     elevation: np.ndarray
-    slope: np.ndarray
     curvature: np.ndarray
 
     def __post_init__(self):
@@ -70,39 +67,22 @@ class ReferenceLine:
         if np.any(np.diff(stations) <= 0):
             raise InvalidInput("stations must be strictly increasing")
         object.__setattr__(self, "stations", stations)
-        for name in ("headings", "elevation", "slope", "curvature"):
+        for name in ("headings", "elevation", "curvature"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != stations.shape:
                 raise InvalidInput(f"{name} must match stations in length")
             object.__setattr__(self, name, arr)
-        xy = np.asarray(self.xy, dtype=float)
-        if xy.shape != (len(stations), 2):
-            raise InvalidInput("xy must have shape (n_stations, 2)")
-        object.__setattr__(self, "xy", xy)
 
     @classmethod
     def from_geometry(cls, stations, headings, elevation) -> "ReferenceLine":
         """Build a reference line from stations, headings and elevations.
 
-        Planar coordinates come from trapezoidal integration of the heading
-        field; slope and curvature are central-difference derivatives.
+        The curvature is the central-difference derivative of the headings.
         """
         stations = np.asarray(stations, dtype=float)
         headings = np.asarray(headings, dtype=float)
-        elevation = np.asarray(elevation, dtype=float)
-        ds = np.diff(stations)
-        x = np.concatenate([[0.0], np.cumsum(ds * 0.5 * (np.cos(headings[:-1]) + np.cos(headings[1:])))])
-        y = np.concatenate([[0.0], np.cumsum(ds * 0.5 * (np.sin(headings[:-1]) + np.sin(headings[1:])))])
-        slope = np.gradient(elevation, stations) * 100.0
         curvature = np.gradient(headings, stations)
-        return cls(
-            stations=stations,
-            headings=headings,
-            xy=np.column_stack([x, y]),
-            elevation=elevation,
-            slope=slope,
-            curvature=curvature,
-        )
+        return cls(stations=stations, headings=headings, elevation=elevation, curvature=curvature)
 
     def curvature_at(self, s) -> np.ndarray:
         return np.interp(s, self.stations, self.curvature)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -174,49 +173,34 @@ def run_batch(
     geometry: VehicleGeometry,
     dt: float = 1e-3,
     rear_params: QuarterCarParams | None = None,
-    jobs: int = 1,
 ) -> BatchResult:
     """Simulate one run per plan row, overriding the stochastic scenario inputs.
 
-    Results are indexed by plan row regardless of execution order; individual
-    failures are collected and the batch continues.
+    Results are indexed by plan row; individual failures are collected and
+    the batch continues.
     """
     unknown = [name for name in plan.names if name not in SCENARIO_VARIABLES]
     if unknown:
         raise ConfigError(f"plan columns {unknown} are not scenario variables {SCENARIO_VARIABLES}")
 
-    def run_row(i: int):
+    responses: list[VehicleResponse | None] = []
+    failures: list[tuple[int, str]] = []
+    for i in range(plan.n):
         inputs = plan.row_inputs(i)
         scenario = base_scenario.with_inputs(
             v_dev=inputs.get("v_dev", base_scenario.v_dev),
             l_p=inputs.get("l_p", base_scenario.l_p),
             mu_rs=inputs.get("mu_rs", base_scenario.mu_rs),
         )
-        return simulate(scenario, params, geometry, dt=dt, rear_params=rear_params)
-
-    outcomes: list[VehicleResponse | Exception] = [None] * plan.n  # type: ignore[list-item]
-
-    def guarded(i: int):
         try:
-            return run_row(i)
+            response = simulate(scenario, params, geometry, dt=dt, rear_params=rear_params)
         except ToolkitError as exc:
-            return exc
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(guarded, range(plan.n)))
-    else:
-        outcomes = [guarded(i) for i in range(plan.n)]
-
-    responses: list[VehicleResponse | None] = []
-    failures: list[tuple[int, str]] = []
-    for i, outcome in enumerate(outcomes):
-        if isinstance(outcome, Exception):
             responses.append(None)
-            failures.append((i, str(outcome)))
-        elif outcome.warnings:
+            failures.append((i, str(exc)))
+            continue
+        if response.warnings:
             responses.append(None)
-            failures.append((i, "; ".join(outcome.warnings)))
+            failures.append((i, "; ".join(response.warnings)))
         else:
-            responses.append(outcome)
+            responses.append(response)
     return BatchResult(responses=responses, failures=failures)

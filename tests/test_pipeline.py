@@ -89,8 +89,13 @@ class TestConfig:
             ("iri", {"segment_m": 0.0}),
             ("iri", {"speed_kmh": -10.0}),
             ("analysis", {"window_m": 0.05}),
+            ("iri", {"segment_m": 0.04}),
+            ("road", {"synthetic": {"length": 200.0, "step": 0.0, "roughness_class": "B"}}),
         ],
-        ids=["aggregator", "iso_reduction", "ds", "weightings", "dt", "segment_m", "speed_kmh", "window_below_ds"],
+        ids=[
+            "aggregator", "iso_reduction", "ds", "weightings", "dt", "segment_m", "speed_kmh", "window_below_ds",
+            "segment_below_step", "step",
+        ],
     )
     def test_bad_setting_fails_before_any_output(self, tmp_path, capsys, section, entry):
         path = write_config(tmp_path / "c.yaml")
@@ -101,6 +106,38 @@ class TestConfig:
         assert main(["analyze", "--config", str(path), "--out", str(out)]) == 2
         assert "error [ConfigError]" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"p0": {"k_tire": 300000.0, "k_tyre": 300000.0}},
+            {"stages": [["k_tire"], ["d_tire"]], "p0": {"k_tire": 300000.0}},
+            {"p0": {"k_tire": 500000.0}},
+            {"max_iter": 0},
+            {"tol": -1.0},
+        ],
+        ids=["p0_unknown", "p0_missing", "p0_out_of_bounds", "max_iter", "tol"],
+    )
+    def test_bad_calibration_setting_fails_before_any_output(self, reference_file, tmp_path, capsys, entry):
+        config, ref_path, _ = reference_file
+        doc = yaml.safe_load(config.read_text())
+        doc["calibration"].update(entry)
+        path = tmp_path / "c.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "out"
+        assert main(["calibrate", "--config", str(path), "--reference", str(ref_path), "--out", str(out)]) == 2
+        assert "error [ConfigError]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_jobs_setting_removed(self, tmp_path):
+        path = write_config(tmp_path / "c.yaml", batch={"n": 3, "dt": 0.002, "jobs": 2})
+        with pytest.raises(ConfigError, match="jobs"):
+            load_config(path)
+        config = write_config(tmp_path / "ok.yaml")
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--config", str(config), "--jobs", "2", "--out", str(tmp_path / "o")])
+        assert exc.value.code != 0
+        assert not (tmp_path / "o").exists()
 
 
 class TestGenerateRoad:
