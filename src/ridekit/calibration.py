@@ -42,6 +42,10 @@ CALIBRATION_PARAMETERS: dict[str, tuple[float, float]] = {
     "d_tire": (4000.0, 7000.0),
 }
 
+#: Forward-difference step of the Jacobian: relative, with an absolute floor.
+_JACOBIAN_REL_STEP = 1e-4
+_JACOBIAN_ABS_STEP = 1e-7
+
 #: Channels compared between simulation and reference.
 COMPARISON_CHANNELS = ("vx", "ax", "ay", "az", "phi_rate", "theta_rate", "psi_rate")
 
@@ -139,22 +143,20 @@ def evaluate_residual(
     reference: Mapping[str, TimeSeries] | VehicleResponse,
     dt: float = 1e-3,
     rear_params: QuarterCarParams | None = None,
-    channel_weights: Mapping[str, float] | None = None,
     plan_for: Callable[[float], DrivePlan] | None = None,
 ) -> Residual:
     """Simulate the scenario and stack per-channel NRMSE against a reference.
 
     Channels absent from the reference are skipped and listed, as are channels
     whose reference has no range (a constant signal cannot normalize an
-    error).  Channel weights default to one.  ``plan_for`` maps the run's
-    friction ``mu_rs * mu_tire`` to a drive plan of this scenario, geometry
-    and ``dt``; without it the plan is built afresh.
+    error).  ``plan_for`` maps the run's friction ``mu_rs * mu_tire`` to a
+    drive plan of this scenario, geometry and ``dt``; without it the plan is
+    built afresh.
     """
     if isinstance(reference, VehicleResponse):
         reference = {name: reference.channel(name) for name in COMPARISON_CHANNELS}
     plan = plan_for(scenario.mu_rs * params.mu_tire) if plan_for is not None else None
     sim = simulate(scenario, params, geometry, dt=dt, rear_params=rear_params, plan=plan)
-    weights = dict(channel_weights or {})
     channel_nrmse: dict[str, float] = {}
     skipped: list[tuple[str, str]] = []
     for name in COMPARISON_CHANNELS:
@@ -166,7 +168,7 @@ def evaluate_residual(
             skipped.append((name, "reference has zero range"))
             continue
         sim_ch, ref_ch = _align(sim.channel(name), ref_ch)
-        channel_nrmse[name] = weights.get(name, 1.0) * nrmse(sim_ch, ref_ch)
+        channel_nrmse[name] = nrmse(sim_ch, ref_ch)
     if not channel_nrmse:
         raise InvalidInput("no overlapping channels between simulation and reference")
     return Residual(channel_nrmse=channel_nrmse, skipped=skipped)
@@ -179,7 +181,6 @@ def simulation_residual(
     base_front: QuarterCarParams,
     base_rear: QuarterCarParams,
     dt: float = 1e-3,
-    channel_weights: Mapping[str, float] | None = None,
 ) -> Callable[[Mapping[str, float]], np.ndarray]:
     """Residual-vector function over named calibration parameters.
 
@@ -199,8 +200,7 @@ def simulation_residual(
     def residual(values: Mapping[str, float]) -> np.ndarray:
         front, rear = apply_parameters(base_front, base_rear, values)
         return evaluate_residual(
-            front, scenario, geometry, reference, dt=dt, rear_params=rear,
-            channel_weights=channel_weights, plan_for=plan_for,
+            front, scenario, geometry, reference, dt=dt, rear_params=rear, plan_for=plan_for
         ).vector
 
     return residual
@@ -225,8 +225,6 @@ def levenberg_marquardt(
     upper: np.ndarray,
     tol: float = 1e-12,
     max_iter: int = 100,
-    rel_step: float = 1e-4,
-    abs_step: float = 1e-7,
 ) -> LMResult:
     """Damped Gauss-Newton with box projection.
 
@@ -259,7 +257,7 @@ def levenberg_marquardt(
         if f < tol:
             reason, converged = "objective below tol", True
             break
-        jac = _forward_jacobian(eval_residual, p, r, lower, upper, rel_step, abs_step)
+        jac = _forward_jacobian(eval_residual, p, r, lower, upper)
         jtj = jac.T @ jac
         g = jac.T @ r
         d = np.maximum(np.diag(jtj), 1e-12)
@@ -321,12 +319,10 @@ def _forward_jacobian(
     r: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
-    rel_step: float,
-    abs_step: float,
 ) -> np.ndarray:
     jac = np.empty((len(r), len(p)))
     for j in range(len(p)):
-        h = max(rel_step * abs(p[j]), abs_step)
+        h = max(_JACOBIAN_REL_STEP * abs(p[j]), _JACOBIAN_ABS_STEP)
         for attempt in range(4):
             step = -h if p[j] + h > upper[j] else h
             probe = p.copy()

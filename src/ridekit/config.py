@@ -246,8 +246,6 @@ def _load_config(path, seed: int | None, out_dir: str | None, methods: tuple[str
     iri_segment_m = float(iri_entry.get("segment_m", 5.0))
     if not (iri_segment_m > 0):
         raise ConfigError("iri.segment_m must be > 0")
-    if road_synthetic is not None and round(iri_segment_m / road_synthetic["step"]) < 1:
-        raise ConfigError("iri.segment_m must cover at least one road.synthetic.step")
     iri_speed_kmh = float(iri_entry.get("speed_kmh", 80.0))
     if not (iri_speed_kmh > 0):
         raise ConfigError("iri.speed_kmh must be > 0")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .integrators import half_grid_input, rk4_lti
-from .signals import SpaceSeries
+from .signals import SpaceSeries, uniform_grid
 
 __all__ = [
     "GoldenCarParams",
@@ -34,7 +34,10 @@ __all__ = [
 STANDARD_SPEED_MS = 80.0 / 3.6
 
 #: Length over which the initial state is matched to the mean profile slope [m].
-DEFAULT_INIT_RAMP_M = 11.0
+INIT_RAMP_M = 11.0
+
+#: Longest RK4 time step of the index integration [s].
+MAX_IRI_DT = 0.005
 
 #: Ride quality labels in decreasing quality (increasing severity).
 RIDE_QUALITY_LABELS = ("VG", "G", "F", "M", "P")
@@ -62,8 +65,8 @@ class GoldenCarParams:
 
     ``c`` = suspension damping / sprung mass [1/s], ``k1`` = tire spring /
     sprung mass [1/s^2], ``k2`` = suspension spring / sprung mass [1/s^2],
-    ``mu`` = unsprung / sprung mass ratio.  Defaults are the fixed reference
-    constants; override only for sensitivity studies.
+    ``mu`` = unsprung / sprung mass ratio.  The defaults are the reference
+    constants that define the index.
     """
 
     c: float = 6.00
@@ -93,6 +96,10 @@ class GoldenCarParams:
         return np.array([[0.0], [0.0], [0.0], [self.k1 / self.mu]])
 
 
+#: The reference car of the index.
+_GOLDEN_CAR = GoldenCarParams()
+
+
 @dataclass(frozen=True)
 class IriResult:
     """Roughness of one segment."""
@@ -112,21 +119,21 @@ def compute_iri(
     step: float,
     speed: float = STANDARD_SPEED_MS,
     segment_length: float = 100.0,
-    params: GoldenCarParams | None = None,
-    init_ramp: float = DEFAULT_INIT_RAMP_M,
 ) -> list[IriResult]:
     """Per-segment roughness index of an elevation profile.
 
-    The state equation is integrated once over the whole profile with RK4 at
-    time step ``step / speed``; the absolute suspension rate is accumulated per
-    contiguous segment of ``segment_length`` meters (a trailing partial
-    segment is dropped).  The initial state sits on the initial elevation and
-    moves with the mean slope of the first ``init_ramp`` meters, which keeps
-    the index exactly invariant under a constant profile offset.
+    The golden car's state equation is integrated once over the whole
+    profile, taken as piecewise linear between samples, with RK4 steps of at
+    most ``MAX_IRI_DT``: each profile step of ``step / speed`` seconds is
+    split into equal substeps.  The absolute suspension rate at the profile
+    samples is accumulated per contiguous segment of ``segment_length``
+    meters (a trailing partial segment is dropped).  The initial state sits
+    on the initial elevation and moves with the mean slope of the first
+    ``INIT_RAMP_M`` meters, which keeps the index exactly invariant under a
+    constant profile offset.
 
     ``speed`` is in m/s; the standard index is defined at 80 km/h.
     """
-    params = params or GoldenCarParams()
     profile = np.asarray(profile, dtype=float)
     if profile.ndim != 1 or len(profile) < 2:
         raise InvalidInput("profile must hold at least two samples")
@@ -143,12 +150,14 @@ def compute_iri(
         )
 
     dt = step / speed
-    i_ramp = min(int(round(init_ramp / step)), len(profile) - 1)
+    i_ramp = min(int(round(INIT_RAMP_M / step)), len(profile) - 1)
     if i_ramp < 1:
         i_ramp = 1
     slope = (profile[i_ramp] - profile[0]) / (i_ramp * step)
     x0 = np.array([profile[0], slope * speed, profile[0], slope * speed])
-    states = rk4_lti(params.matrix_a(), params.vector_b(), half_grid_input(profile), dt, x0)
+    n_sub = int(np.ceil(dt / MAX_IRI_DT))
+    fine = np.interp(np.arange((len(profile) - 1) * n_sub + 1) / n_sub, np.arange(len(profile)), profile)
+    states = rk4_lti(_GOLDEN_CAR.matrix_a(), _GOLDEN_CAR.vector_b(), half_grid_input(fine), dt / n_sub, x0)[::n_sub]
     rate = np.abs(states[:, 1] - states[:, 3])
 
     per_segment = int(round(segment_length / step))
@@ -209,6 +218,5 @@ def interpolate_iri(stations: np.ndarray, values: np.ndarray, ds: float = 0.1) -
         raise InvalidInput("need at least two index samples to interpolate")
     if np.any(np.diff(stations) <= 0):
         raise InvalidInput("stations must be strictly increasing")
-    n = int(np.floor((stations[-1] - stations[0]) / ds + 1e-9)) + 1
-    grid = stations[0] + ds * np.arange(n)
+    grid = uniform_grid(stations[0], stations[-1] - stations[0], ds)
     return SpaceSeries(s0=float(stations[0]), ds=ds, values=np.interp(grid, stations, values))

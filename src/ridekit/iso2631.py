@@ -261,18 +261,11 @@ class CombinedVibration:
             raise InvalidInput("a_v must be >= 0")
 
 
-def combine(
-    ax_rms: float,
-    ay_rms: float,
-    az_rms: float,
-    k_x: float = 1.0,
-    k_y: float = 1.0,
-    k_z: float = 1.0,
-) -> CombinedVibration:
-    """Root-sum-square of the axis RMS values with direction factors."""
+def combine(ax_rms: float, ay_rms: float, az_rms: float) -> CombinedVibration:
+    """Root-sum-square of the axis RMS values (direction factors of one)."""
     if min(ax_rms, ay_rms, az_rms) < 0:
         raise InvalidInput("axis RMS values must be >= 0")
-    a_v = math.sqrt((k_x * ax_rms) ** 2 + (k_y * ay_rms) ** 2 + (k_z * az_rms) ** 2)
+    a_v = math.sqrt(ax_rms**2 + ay_rms**2 + az_rms**2)
     return CombinedVibration(a_v=a_v)
 
 

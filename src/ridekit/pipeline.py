@@ -100,11 +100,13 @@ def analyze(cfg: PipelineConfig, out_dir) -> dict:
     Returns a summary dict with the reports and the failure list, mainly for
     tests and interactive use; files are the authoritative output.
     """
+    grid = build_road(cfg)
+    if "iri" in cfg.methods:
+        _check_iri_fits(cfg, grid)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs: dict[str, str] = {}
 
-    grid = build_road(cfg)
     scenario = _scenario(cfg, grid)
     plan = sampling.lhs(cfg.distributions, cfg.n, cfg.seed)
     _write(out_dir, "sample_plan.csv", plan.to_csv_text(), outputs)
@@ -170,6 +172,21 @@ def analyze(cfg: PipelineConfig, out_dir) -> dict:
     return summary
 
 
+def _check_iri_fits(cfg: PipelineConfig, grid: road.RoadGrid) -> None:
+    """Fail before any output when the IRI settings cannot run on this road."""
+    step = grid.grid_step
+    if step > 0.25:
+        raise ConfigError(f"the iri method needs a road step of at most 0.25 m, got {step:g} m")
+    per_segment = round(cfg.iri_segment_m / step)
+    if per_segment < 1:
+        raise ConfigError("iri.segment_m must cover at least one road step")
+    n_steps = len(signals.uniform_grid(grid.stations[0], grid.length, step)) - 1
+    if n_steps * step < cfg.iri_segment_m:
+        raise ConfigError(f"iri.segment_m {cfg.iri_segment_m:g} m is longer than the {n_steps * step:g} m road")
+    if cfg.iri_segment_m > cfg.window_m + 1e-9 and n_steps // per_segment < 2:
+        raise ConfigError("iri.segment_m leaves fewer than two segments; shrink it")
+
+
 def _iri_space_series(results, grid, cfg: PipelineConfig) -> signals.SpaceSeries:
     """Index values on the analysis grid.
 
@@ -185,8 +202,6 @@ def _iri_space_series(results, grid, cfg: PipelineConfig) -> signals.SpaceSeries
         dense = np.repeat(values, per)
         return signals.SpaceSeries(s0=s0, ds=cfg.ds, values=dense)
     midpoints = np.array([s0 + r.s_start + 0.5 * r.segment_length for r in results])
-    if len(midpoints) < 2:
-        raise ConfigError("iri.segment_m leaves fewer than two segments; shrink it")
     return iri_mod.interpolate_iri(midpoints, values, cfg.ds)
 
 

@@ -17,6 +17,7 @@ from scipy.interpolate import CubicSpline, RectBivariateSpline, make_smoothing_s
 from scipy.ndimage import median_filter, uniform_filter
 
 from .errors import DomainBoundsError, GridParseError, InvalidInput
+from .signals import uniform_grid
 
 __all__ = [
     "ReferenceLine",
@@ -188,8 +189,8 @@ def save_grid(path, grid: RoadGrid) -> None:
         fh.write(buf.getvalue())
 
 
-def load_grid(path, clean: bool = True) -> RoadGrid:
-    """Parse a grid file; optionally replace outlier cells by the local median.
+def load_grid(path) -> RoadGrid:
+    """Parse a grid file and replace outlier cells by the local median.
 
     A cell is an outlier when its deviation from the 3x3 neighborhood median
     exceeds five robust standard deviations (and one micrometer absolutely),
@@ -245,10 +246,7 @@ def load_grid(path, clean: bool = True) -> RoadGrid:
     if np.max(np.abs(np.diff(stations) - step)) > 1e-6 * step:
         raise GridParseError(f"station spacing disagrees with station_step={step}")
     offsets = header["offset_start"] + header["offset_step"] * np.arange(n_offsets)
-    elevations = data[:, 3:]
-    replaced = 0
-    if clean:
-        elevations, replaced = _clean_grid(elevations, data[:, 2])
+    elevations, replaced = _clean_grid(data[:, 3:], data[:, 2])
     ref = ReferenceLine.from_geometry(stations, data[:, 1], data[:, 2])
     return RoadGrid(
         ref_line=ref,
@@ -372,9 +370,7 @@ def wheel_track_profile(
     surface (:meth:`RoadGrid.surface`).
     """
     params = params or SmoothingParams()
-    stations = grid.stations
-    n = int(np.floor((stations[-1] - stations[0]) / step + 1e-9)) + 1
-    s = stations[0] + step * np.arange(n)
+    s = uniform_grid(grid.stations[0], grid.length, step)
     profile = grid.surface(params).track(s, lateral_offset)
     if params.lambda_z > 0 and len(profile) >= 4:
         profile = make_smoothing_spline(s, profile, lam=params.lambda_z)(s)
@@ -416,29 +412,15 @@ def synth_profile(length: float, step: float, roughness_class: str, seed: int) -
     return np.fft.irfft(spectrum, n=n)
 
 
-def straight_grid(
-    profile: np.ndarray,
-    step: float,
-    lateral_span: float = 2.0,
-    offset_step: float = 0.5,
-    per_offset_profiles: dict[float, np.ndarray] | None = None,
-) -> RoadGrid:
-    """Wrap elevation profile(s) into a straight, flat-reference grid.
+def straight_grid(profile: np.ndarray, step: float, lateral_span: float = 2.0, offset_step: float = 0.5) -> RoadGrid:
+    """Wrap an elevation profile into a straight, flat-reference grid.
 
-    By default every lateral column carries the same profile; pass
-    ``per_offset_profiles`` to vary roughness across the width (keys are
-    offsets that must exist in the grid).
+    Every lateral column carries the same profile.
     """
     profile = np.asarray(profile, dtype=float)
     stations = step * np.arange(len(profile))
     n_offsets = int(round(2 * lateral_span / offset_step)) + 1
     offsets = -lateral_span + offset_step * np.arange(n_offsets)
     elevations = np.tile(profile[:, None], (1, n_offsets))
-    if per_offset_profiles:
-        for off, prof in per_offset_profiles.items():
-            j = int(np.argmin(np.abs(offsets - off)))
-            if abs(offsets[j] - off) > 1e-9:
-                raise InvalidInput(f"offset {off} not on the grid")
-            elevations[:, j] = np.asarray(prof, dtype=float)
     ref = ReferenceLine.from_geometry(stations, np.zeros_like(stations), np.zeros_like(stations))
     return RoadGrid(ref_line=ref, lateral_offsets=offsets, elevations=elevations, grid_step=step)

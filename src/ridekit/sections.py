@@ -18,7 +18,7 @@ import numpy as np
 from . import iri as iri_mod
 from . import iso2631, thresholds
 from .errors import InvalidInput
-from .signals import SpaceSeries, VehicleResponse
+from .signals import SpaceSeries, VehicleResponse, uniform_grid
 
 __all__ = [
     "SectionRow",
@@ -44,10 +44,10 @@ def window_edges(s0: float, extent: float, l_cr: float) -> np.ndarray:
     """Window boundary positions: floor(extent / l_cr) complete windows."""
     if l_cr <= 0:
         raise InvalidInput("l_cr must be > 0")
-    n_windows = int(np.floor(extent / l_cr + 1e-9))
-    if n_windows < 1:
+    edges = uniform_grid(s0, extent, l_cr)
+    if len(edges) < 2:
         raise InvalidInput(f"track extent {extent:.3g} m shorter than one {l_cr:.3g} m window")
-    return s0 + l_cr * np.arange(n_windows + 1)
+    return edges
 
 
 def _window_index_spans(series: SpaceSeries, l_cr: float) -> list[tuple[int, int]]:
@@ -123,19 +123,14 @@ def _label_rows(labels: list[str], categories) -> list[SectionRow]:
     return rows
 
 
-def find_critical(flag: thresholds.ExceedanceSignal, l_cr: float = DEFAULT_WINDOW_M, mode: str = "all") -> SectionReport:
+def find_critical(flag: thresholds.ExceedanceSignal, l_cr: float = DEFAULT_WINDOW_M) -> SectionReport:
     """Count windows whose samples violate a band.
 
-    ``mode="all"`` (the default, and the definition of a critical section)
-    requires every sample of a window to exceed; ``mode="any"`` is a
-    sensitivity variant that fires on a single exceeding sample.
+    A window is critical when every one of its samples exceeds the band.
     """
-    if mode not in ("all", "any"):
-        raise InvalidInput("mode must be 'all' or 'any'")
     spans = _window_index_spans(flag.series, l_cr)
     values = np.asarray(flag.series.values, dtype=bool)
-    reduce = np.all if mode == "all" else np.any
-    critical = np.array([bool(reduce(values[j0:j1])) for j0, j1 in spans])
+    critical = np.array([bool(np.all(values[j0:j1])) for j0, j1 in spans])
     c = int(critical.sum())
     row = SectionRow(category=flag.label, c=c, n=len(spans) - c, critical_windows=critical)
     return SectionReport(

@@ -26,6 +26,7 @@ __all__ = [
     "nrmse",
     "to_space",
     "aggregate",
+    "uniform_grid",
     "read_response_csv",
     "read_reference_csv",
     "write_response_csv",
@@ -150,25 +151,16 @@ class VehicleResponse:
 class SpaceSeries:
     """A signal indexed by arc-length position at uniform step ``ds``.
 
-    ``run_count`` records how many runs were merged into this series and
-    ``aggregator`` which reduction produced it (``"mean"`` keeps the smooth
-    across-run average, ``"max-abs-envelope"`` the worst-case sample, sign
-    preserved).
+    Values are finite floats, or booleans for criticality flags.
     """
 
     s0: float
     ds: float
     values: np.ndarray
-    aggregator: str = "mean"
-    run_count: int = 1
 
     def __post_init__(self):
         if not (self.ds > 0):
             raise InvalidInput("ds must be > 0")
-        if self.run_count < 1:
-            raise InvalidInput("run_count must be >= 1")
-        if self.aggregator not in AGGREGATORS:
-            raise InvalidInput(f"aggregator must be one of {AGGREGATORS}")
         arr = np.asarray(self.values)
         if arr.ndim != 1 or arr.size == 0:
             raise InvalidInput("values must be a non-empty 1-D array")
@@ -189,6 +181,15 @@ class SpaceSeries:
     def extent(self) -> float:
         """Track length covered by the samples: len * ds."""
         return len(self.values) * self.ds
+
+
+def uniform_grid(start: float, span: float, step: float) -> np.ndarray:
+    """Positions ``start + k * step`` covering ``span``: floor(span / step) + 1 of them.
+
+    The floor forgives rounding of up to 1e-9 steps, so a span that is a
+    whole number of steps keeps its last position.
+    """
+    return start + step * np.arange(int(np.floor(span / step + 1e-9)) + 1)
 
 
 def rmse(predicted: TimeSeries, reference: TimeSeries) -> float:
@@ -228,19 +229,19 @@ def to_space(run: VehicleResponse, channel: str, ds: float) -> SpaceSeries:
     span = s[-1] - s[0]
     if span < 2 * ds:
         raise InvalidInput(f"run spans {span:.3g} m, need at least 2*ds = {2 * ds:.3g} m")
-    n = int(np.floor(span / ds + 1e-9)) + 1
-    positions = s[0] + ds * np.arange(n)
+    positions = uniform_grid(s[0], span, ds)
     t = run.s.t
     t_at = np.interp(positions, s, t)
     values = np.interp(t_at, ch.t, ch.values)
-    return SpaceSeries(s0=float(s[0]), ds=ds, values=values, aggregator="mean", run_count=1)
+    return SpaceSeries(s0=float(s[0]), ds=ds, values=values)
 
 
 def aggregate(runs: list[SpaceSeries], aggregator: str = "mean") -> SpaceSeries:
     """Merge per-run space series sample-by-sample.
 
-    Runs are trimmed to their common overlap first (so ``run_count`` is uniform
-    across positions); their grids must share ``ds`` and be offset by whole
+    ``"mean"`` keeps the smooth across-run average, ``"max-abs-envelope"``
+    the worst-case sample with its sign.  Runs are trimmed to their common
+    overlap first; their grids must share ``ds`` and be offset by whole
     multiples of it.
     """
     if not runs:
@@ -269,13 +270,7 @@ def aggregate(runs: list[SpaceSeries], aggregator: str = "mean") -> SpaceSeries:
     else:
         idx = np.argmax(np.abs(stack), axis=0)
         merged = stack[idx, np.arange(stack.shape[1])]
-    return SpaceSeries(
-        s0=float(start),
-        ds=ds,
-        values=merged,
-        aggregator=aggregator,
-        run_count=int(sum(r.run_count for r in runs)),
-    )
+    return SpaceSeries(s0=float(start), ds=ds, values=merged)
 
 
 # ---------------------------------------------------------------------------

@@ -95,13 +95,4 @@ def exceedance(signal: SpaceSeries, band: ThresholdBand) -> ExceedanceSignal:
     """
     values = np.asarray(signal.values, dtype=float)
     flags = (values > band.upper) | (values < band.lower)
-    return ExceedanceSignal(
-        series=SpaceSeries(
-            s0=signal.s0,
-            ds=signal.ds,
-            values=flags,
-            aggregator=signal.aggregator,
-            run_count=signal.run_count,
-        ),
-        band=band,
-    )
+    return ExceedanceSignal(series=SpaceSeries(s0=signal.s0, ds=signal.ds, values=flags), band=band)

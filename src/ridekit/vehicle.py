@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvalidInput, NumericFailure
 from .integrators import half_grid_input, rk4_lti
 from .road import RoadGrid, SmoothingParams, wheel_track_profile
-from .signals import TimeSeries, VehicleResponse
+from .signals import TimeSeries, VehicleResponse, uniform_grid
 
 __all__ = [
     "GRAVITY",
@@ -351,8 +351,6 @@ def drive_plan(scenario: Scenario, geometry: VehicleGeometry, mu_eff: float, dt:
     if not (0 < dt <= MAX_DT):
         raise InvalidInput(f"dt must be in (0, {MAX_DT}] s (tire spring stability)")
     grid = scenario.road
-    s_end = float(grid.stations[-1])
-    s_start = float(grid.stations[0])
 
     v_arr, ax_arr, s_arr = _track_speed(scenario, _ACCEL_AUTHORITY * mu_eff, dt)
 
@@ -378,9 +376,7 @@ def drive_plan(scenario: Scenario, geometry: VehicleGeometry, mu_eff: float, dt:
     # --- wheel inputs -------------------------------------------------------------
     offsets = (scenario.l_p + geometry.track_width / 2.0, scenario.l_p - geometry.track_width / 2.0)
     prof_step = grid.grid_step
-    prof_s = grid.stations[0] + prof_step * np.arange(
-        int(np.floor((s_end - s_start) / prof_step + 1e-9)) + 1
-    )
+    prof_s = uniform_grid(grid.stations[0], grid.length, prof_step)
     left = wheel_track_profile(grid, offsets[0], scenario.smoothing, prof_step)
     right = wheel_track_profile(grid, offsets[1], scenario.smoothing, prof_step)
 

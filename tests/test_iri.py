@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from ridekit.errors import InvalidInput
 from ridekit.iri import (
@@ -87,6 +90,85 @@ class TestComputeIri:
         profile[3] = np.nan
         with pytest.raises(InvalidInput):
             compute_iri(profile, 0.1, segment_length=50.0)
+
+
+def iri_exact(profile, step, speed, segment_length):
+    """Per-segment IRI of the golden car by exact first-order-hold discretisation.
+
+    For an elevation that is linear between samples,
+    ``x[k+1] = Phi x[k] + E1 u[k] + E2 (u[k+1] - u[k]) / dt`` holds exactly,
+    with the blocks of one matrix exponential.  The start state and the
+    trapezoidal accumulation are those of the index definition.
+    """
+    car = GoldenCarParams()
+    dt = step / speed
+    block = np.zeros((6, 6))
+    block[:4, :4] = car.matrix_a()
+    block[:4, 4] = car.vector_b()[:, 0]
+    block[4, 5] = 1.0
+    e = expm(block * dt)
+    phi, e1, e2 = e[:4, :4], e[:4, 4], e[:4, 5]
+    u = np.asarray(profile, dtype=float)
+    drive = np.outer(u[:-1], e1) + np.outer((u[1:] - u[:-1]) / dt, e2)
+    i_ramp = min(max(int(round(11.0 / step)), 1), len(u) - 1)
+    slope = (u[i_ramp] - u[0]) / (i_ramp * step)
+    x = np.array([u[0], slope * speed, u[0], slope * speed])
+    rate = np.empty(len(u))
+    rate[0] = abs(x[1] - x[3])
+    for k in range(len(u) - 1):
+        x = phi @ x + drive[k]
+        rate[k + 1] = abs(x[1] - x[3])
+    per = int(round(segment_length / step))
+    n_segments = (len(u) - 1) // per
+    return np.array(
+        [1000.0 * np.trapezoid(rate[k * per : (k + 1) * per + 1], dx=dt) / (per * step) for k in range(n_segments)]
+    )
+
+
+def random_profile(seed, step, kind):
+    """60 m of road: a synthetic roughness class, or a random walk."""
+    if kind == "walk":
+        return np.cumsum(np.random.default_rng(seed).normal(0.0, 1e-3, int(60.0 / step)))
+    return synth_profile(60.0, step, kind, seed)
+
+
+profiles = st.tuples(
+    st.integers(0, 2**32 - 1), st.floats(0.01, 0.25), st.sampled_from(["A", "C", "E", "walk"])
+)
+speeds_kmh = st.floats(20.0, 130.0)
+
+
+def iri_values(profile, step, speed_kmh):
+    return np.array([r.iri for r in compute_iri(profile, step, speed_kmh / 3.6, segment_length=20.0)])
+
+
+class TestIriProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(profile=profiles, speed_kmh=speeds_kmh)
+    def test_matches_exact_discretisation(self, profile, speed_kmh):
+        seed, step, kind = profile
+        values = random_profile(seed, step, kind)
+        exact = iri_exact(values, step, speed_kmh / 3.6, 20.0)
+        got = iri_values(values, step, speed_kmh)
+        assert np.all(np.abs(got - exact) <= 5e-4 * (np.abs(exact) + 1e-3))
+
+    @settings(max_examples=25, deadline=None)
+    @given(profile=profiles, speed_kmh=speeds_kmh, offset=st.floats(-100.0, 100.0))
+    def test_invariant_to_profile_offset(self, profile, speed_kmh, offset):
+        seed, step, kind = profile
+        values = random_profile(seed, step, kind)
+        base = iri_values(values, step, speed_kmh)
+        shifted = iri_values(values + offset, step, speed_kmh)
+        assert np.all(np.abs(shifted - base) <= 1e-9 * (1.0 + abs(offset)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(profile=profiles, speed_kmh=speeds_kmh, scale=st.floats(0.01, 100.0))
+    def test_linear_in_profile_amplitude(self, profile, speed_kmh, scale):
+        seed, step, kind = profile
+        values = random_profile(seed, step, kind)
+        base = iri_values(values, step, speed_kmh)
+        scaled = iri_values(scale * values, step, speed_kmh)
+        assert np.allclose(scaled, scale * base, rtol=1e-9, atol=0.0)
 
 
 class TestClassifyIri:

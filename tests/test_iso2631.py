@@ -181,9 +181,6 @@ class TestCombine:
     def test_pythagorean(self):
         assert combine(3.0, 4.0, 0.0).a_v == pytest.approx(5.0)
 
-    def test_axis_factor(self):
-        assert combine(1.0, 0.0, 0.0, k_x=2.0).a_v == pytest.approx(2.0)
-
     def test_monotone_and_symmetric(self):
         assert combine(1.0, 2.0, 3.0).a_v == pytest.approx(combine(3.0, 2.0, 1.0).a_v)
         assert combine(1.0, 2.0, 3.1).a_v > combine(1.0, 2.0, 3.0).a_v

@@ -91,16 +91,23 @@ class TestConfig:
             ("analysis", {"window_m": 0.05}),
             ("iri", {"segment_m": 0.04}),
             ("road", {"synthetic": {"length": 200.0, "step": 0.0, "roughness_class": "B"}}),
+            ("road", {"synthetic": {"length": 200.0, "step": 0.5, "roughness_class": "B"}}),
+            ("iri", {"segment_m": 300.0}),
+            ("iri", {"segment_m": 150.0}),
+            ("road", {"synthetic": None, "file": "coarse_grid.txt"}),
         ],
         ids=[
             "aggregator", "iso_reduction", "ds", "weightings", "dt", "segment_m", "speed_kmh", "window_below_ds",
-            "segment_below_step", "step",
+            "segment_below_step", "step", "iri_step", "segment_beyond_road", "one_interpolated_segment",
+            "iri_step_grid_file",
         ],
     )
-    def test_bad_setting_fails_before_any_output(self, tmp_path, capsys, section, entry):
+    def test_bad_setting_fails_before_any_output(self, tmp_path, monkeypatch, capsys, section, entry):
+        monkeypatch.chdir(tmp_path)
+        road.save_grid("coarse_grid.txt", road.straight_grid(np.zeros(401), 0.5))
         path = write_config(tmp_path / "c.yaml")
         doc = yaml.safe_load(path.read_text())
-        doc[section].update(entry)
+        doc[section] = {key: value for key, value in {**doc[section], **entry}.items() if value is not None}
         path.write_text(yaml.safe_dump(doc))
         out = tmp_path / "out"
         assert main(["analyze", "--config", str(path), "--out", str(out)]) == 2

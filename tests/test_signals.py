@@ -38,10 +38,6 @@ class TestContainers:
     def test_space_series_checks(self):
         with pytest.raises(InvalidInput):
             SpaceSeries(0.0, -1.0, [1.0])
-        with pytest.raises(InvalidInput):
-            SpaceSeries(0.0, 1.0, [1.0], run_count=0)
-        with pytest.raises(InvalidInput):
-            SpaceSeries(0.0, 1.0, [1.0], aggregator="median")
 
     def test_response_rejects_reversing_s(self):
         run = constant_speed_response()
@@ -175,13 +171,11 @@ class TestAggregate:
         one = SpaceSeries(0.0, 1.0, [1.0, 2.0, 3.0])
         out = aggregate([one], "mean")
         assert np.allclose(out.values, one.values)
-        assert out.run_count == 1
 
     def test_mean(self):
         runs = [SpaceSeries(0.0, 1.0, [1.0, 1.0]), SpaceSeries(0.0, 1.0, [3.0, 3.0])]
         out = aggregate(runs, "mean")
         assert np.allclose(out.values, [2.0, 2.0])
-        assert out.run_count == 2
 
     def test_max_abs_envelope_keeps_sign(self):
         runs = [SpaceSeries(0.0, 1.0, [1.0, -5.0]), SpaceSeries(0.0, 1.0, [2.0, 1.0])]
