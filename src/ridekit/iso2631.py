@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from typing import NamedTuple
 
@@ -193,6 +193,10 @@ def _analog_stages(spec: FilterSpec) -> list[tuple[str, list[float], list[float]
     return stages
 
 
+#: Designed cascades by (spec values, sample rate); see :func:`design_filter`.
+_DESIGNS: dict[tuple, np.ndarray] = {}
+
+
 def design_filter(spec: FilterSpec, sample_rate: float) -> np.ndarray:
     """Second-order sections of the discrete weighting cascade.
 
@@ -200,7 +204,22 @@ def design_filter(spec: FilterSpec, sample_rate: float) -> np.ndarray:
     contribute unity.  Each enabled corner must stay at or below the Nyquist
     frequency.  Frequency warping keeps the magnitude within about 1% of the
     analog cascade for frequencies up to ``sample_rate / 20``.
+
+    Memoised by value: specs with equal fields at an equal sample rate share
+    one design, returned as a read-only array.
     """
+    key = tuple(
+        tuple(value.items()) if isinstance(value, dict) else value
+        for value in (getattr(spec, f.name) for f in fields(spec))
+    ) + (sample_rate,)
+    sos = _DESIGNS.get(key)
+    if sos is None:
+        sos = _DESIGNS[key] = _design(spec, sample_rate)
+        sos.setflags(write=False)
+    return sos
+
+
+def _design(spec: FilterSpec, sample_rate: float) -> np.ndarray:
     if sample_rate <= 0:
         raise FilterDesignError("sample_rate must be > 0")
     for stage, corner in spec.enabled_corners().items():
@@ -239,7 +258,8 @@ def weight_signal(a: TimeSeries, spec: FilterSpec) -> WeightedResult:
     """
     if a.duration < 1.0:
         raise InvalidInput("signal must cover at least 1 s")
-    sos = design_filter(spec, 1.0 / a.dt)
+    # sosfilt takes only writable coefficients; the shared design is read-only
+    sos = design_filter(spec, 1.0 / a.dt).copy()
     weighted = sosfilt(sos, a.values)
     rms = float(np.sqrt(np.mean(weighted * weighted)))
     return WeightedResult(a_w=TimeSeries(a.t0, a.dt, weighted, a.unit), a_w_rms=rms)

@@ -9,6 +9,7 @@ sampled at uniform stations plus elevation columns at fixed lateral offsets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 import io
 import threading
 
@@ -115,7 +116,7 @@ class RoadGrid:
     ``outliers_replaced`` reports how many cells the load-time cleaning step
     replaced with the local median.  The grid is immutable, so the smoothed
     surface of each :class:`SmoothingParams` is built once and kept on it
-    (see :meth:`surface`).
+    (see :meth:`surface`), and :attr:`laterally_uniform` is computed once.
     """
 
     ref_line: ReferenceLine
@@ -150,6 +151,19 @@ class RoadGrid:
     @property
     def length(self) -> float:
         return float(self.stations[-1] - self.stations[0])
+
+    @cached_property
+    def laterally_uniform(self) -> bool:
+        """Whether every offset column equals the first (as on :func:`straight_grid`)."""
+        return bool(np.all(self.elevations == self.elevations[:, :1]))
+
+    def check_offset(self, v) -> None:
+        """Raise :class:`DomainBoundsError` for lateral offsets outside the columns."""
+        lo, hi = self.lateral_offsets[0], self.lateral_offsets[-1]
+        tol = 1e-9 if len(self.lateral_offsets) > 1 else 1e-6
+        v = np.asarray(v, dtype=float)
+        if np.any(v < lo - tol) or np.any(v > hi + tol):
+            raise DomainBoundsError(f"lateral offset query outside [{lo}, {hi}]")
 
     def surface(self, params: SmoothingParams | None = None) -> SurfaceInterpolator:
         """The smoothed surface of this grid under ``params``, built on first use."""
@@ -321,15 +335,11 @@ class SurfaceInterpolator:
     def _check_hull(self, s, v) -> None:
         g = self.grid
         s = np.asarray(s, dtype=float)
-        v = np.asarray(v, dtype=float)
         if np.any(s < g.stations[0] - 1e-9) or np.any(s > g.stations[-1] + 1e-9):
             raise DomainBoundsError(
                 f"station query outside [{g.stations[0]}, {g.stations[-1]}]"
             )
-        lo, hi = g.lateral_offsets[0], g.lateral_offsets[-1]
-        tol = 1e-9 if len(g.lateral_offsets) > 1 else 1e-6
-        if np.any(v < lo - tol) or np.any(v > hi + tol):
-            raise DomainBoundsError(f"lateral offset query outside [{lo}, {hi}]")
+        g.check_offset(v)
 
     def at(self, s, v):
         """Surface elevation at station(s) ``s`` and lateral offset(s) ``v``."""

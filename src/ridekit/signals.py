@@ -240,9 +240,10 @@ def aggregate(runs: list[SpaceSeries], aggregator: str = "mean") -> SpaceSeries:
     """Merge per-run space series sample-by-sample.
 
     ``"mean"`` keeps the smooth across-run average, ``"max-abs-envelope"``
-    the worst-case sample with its sign.  Runs are trimmed to their common
-    overlap first; their grids must share ``ds`` and be offset by whole
-    multiples of it.
+    the worst-case sample with its sign (the positive one when a positive and
+    a negative sample tie in magnitude, so the order of the runs does not
+    matter).  Runs are trimmed to their common overlap first; their grids
+    must share ``ds`` and be offset by whole multiples of it.
     """
     if not runs:
         raise InvalidInput("no runs to aggregate")
@@ -268,8 +269,8 @@ def aggregate(runs: list[SpaceSeries], aggregator: str = "mean") -> SpaceSeries:
     if aggregator == "mean":
         merged = stack.mean(axis=0)
     else:
-        idx = np.argmax(np.abs(stack), axis=0)
-        merged = stack[idx, np.arange(stack.shape[1])]
+        top, bottom = stack.max(axis=0), stack.min(axis=0)
+        merged = np.where(top >= -bottom, top, bottom)
     return SpaceSeries(s0=float(start), ds=ds, values=merged)
 
 

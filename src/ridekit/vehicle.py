@@ -256,6 +256,11 @@ def _track_speed(
     The controller commands ``(target(s) + v_dev - v) / tau`` clipped to the
     acceleration authority; position advances by trapezoidal integration, so s
     is strictly increasing while v stays positive.
+
+    Cruise rule: once a step leaves ``v`` unchanged where the target is
+    constant up to the track end (one breakpoint, or ``s`` past the last),
+    every later step repeats it.  The remaining positions are then one
+    cumulative sum of that step's increment, bit-identical to stepping on.
     """
     profile = scenario.target_speed
     bp = profile.breakpoints
@@ -299,17 +304,45 @@ def _track_speed(
         elif acc < -a_lim:
             acc = -a_lim
         v_next = v + dt * acc
-        s = s + dt * 0.5 * (v + v_next)
+        ds = dt * 0.5 * (v + v_next)
+        cruise = v_next == v and (n_bp == 1 or s >= bp[-1])
+        s = s + ds
         v = v_next
         vv.append(v)
         aa.append(acc)
         ss.append(s)
         if s >= s_end:
             break
+        if cruise:
+            tail = _cruise_positions(s, ds, s_end, max_steps - len(aa))
+            return (
+                np.concatenate([vv, np.full(len(tail), v)]),
+                np.concatenate([aa, np.full(len(tail) + 1, acc)]),
+                np.concatenate([ss, tail]),
+            )
     else:
         raise NumericFailure("speed integration stalled before reaching the track end")
     aa.append(aa[-1])
     return np.asarray(vv), np.asarray(aa), np.asarray(ss)
+
+
+def _cruise_positions(s: float, ds: float, s_end: float, room: int) -> np.ndarray:
+    """Positions ``s + ds``, ``s + 2 ds``, ... up to the first at or past ``s_end``.
+
+    Accumulated in order, as the step loop adds them; ``room`` is the number
+    of steps left before the loop would have given up.
+    """
+    parts = []
+    while room > 0 and ds > 0:
+        n = int(min(room, (s_end - s) / ds + 3))
+        part = np.cumsum(np.concatenate([[s], np.full(n, ds)]))[1:]
+        k = int(np.searchsorted(part, s_end))
+        if k < n:
+            parts.append(part[: k + 1])
+            return np.concatenate(parts)
+        parts.append(part)
+        s, room = part[-1], room - n
+    raise NumericFailure("speed integration stalled before reaching the track end")
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,8 +353,13 @@ class DrivePlan:
     the available friction ``mu_eff = mu_rs * mu_tire``: the speed
     trajectory, the lateral channels with the off-road warning, and the
     half-grid input ``(u, x0)`` of each corner in the order front-left,
-    front-right, rear-left, rear-right.  When both wheel tracks read the same
-    profile the right-side entries are the left-side ones.
+    front-right, rear-left, rear-right.
+
+    Grid rule: when every offset column of the road equals the first
+    (:attr:`~ridekit.road.RoadGrid.laterally_uniform`) and the smoothing has
+    ``lambda_y == 0``, both wheel tracks read one profile.  Only the left one
+    is extracted, the right-side entries are the left-side ones
+    (:attr:`same_sides`) and two corners are integrated instead of four.
     """
 
     scenario: Scenario
@@ -378,7 +416,11 @@ def drive_plan(scenario: Scenario, geometry: VehicleGeometry, mu_eff: float, dt:
     prof_step = grid.grid_step
     prof_s = uniform_grid(grid.stations[0], grid.length, prof_step)
     left = wheel_track_profile(grid, offsets[0], scenario.smoothing, prof_step)
-    right = wheel_track_profile(grid, offsets[1], scenario.smoothing, prof_step)
+    if grid.laterally_uniform and scenario.smoothing.lambda_y == 0:
+        grid.check_offset(offsets[1])
+        right = left
+    else:
+        right = wheel_track_profile(grid, offsets[1], scenario.smoothing, prof_step)
 
     s_half = half_grid_input(s_arr)
     s_rear_half = s_half - geometry.wheelbase
@@ -387,7 +429,7 @@ def drive_plan(scenario: Scenario, geometry: VehicleGeometry, mu_eff: float, dt:
         return _corner_input(np.interp(s_points, prof_s, profile_values), dt)
 
     fl, rl = wheel(left, s_half), wheel(left, s_rear_half)
-    if np.array_equal(left, right):
+    if right is left:
         fr, rr = fl, rl
     else:
         fr, rr = wheel(right, s_half), wheel(right, s_rear_half)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -99,6 +100,17 @@ class TestDesign:
     def test_unknown_weighting(self):
         with pytest.raises(InvalidInput):
             load_weighting("zz")
+
+    def test_designed_once_per_value(self):
+        spec = load_weighting("k")
+        sos = design_filter(spec, 1000.0)
+        twin = FilterSpec(**{f.name: getattr(spec, f.name) for f in fields(spec)})
+        assert twin is not spec and design_filter(twin, 1000.0) is sos
+        assert design_filter(spec, 500.0) is not sos
+        assert design_filter(load_weighting("d"), 1000.0) is not sos
+        assert not sos.flags.writeable
+        with pytest.raises(ValueError):
+            sos[0, 0] = 2.0
 
 
 class TestWeightSignal:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
-from ridekit import road
+from ridekit import iso2631, road
 from ridekit.cli import main
 from ridekit.config import load_config
 from ridekit.errors import ConfigError
@@ -286,6 +286,28 @@ class TestSharedWork:
         assert set(summary["reports"]) == {"threshold", "iso", "iri"}
         assert cfg.n == 3 and summary["failures"] == []
         assert len(builds) == 1
+
+    def test_analyze_designs_one_filter_per_axis(self, tmp_path, monkeypatch):
+        designs, weighted = [], []
+        original_design, original_weight = iso2631._design, iso2631.weight_signal
+
+        def counting_design(spec, sample_rate):
+            designs.append((spec.weighting_id, sample_rate))
+            return original_design(spec, sample_rate)
+
+        def counting_weight(*args):
+            weighted.append(1)
+            return original_weight(*args)
+
+        monkeypatch.setattr(iso2631, "_DESIGNS", {})
+        monkeypatch.setattr(iso2631, "_design", counting_design)
+        monkeypatch.setattr(iso2631, "weight_signal", counting_weight)
+        weightings = {"x": "d", "y": "c", "z": "k"}
+        config = write_config(tmp_path / "c.yaml", analysis={"window_m": 5.0, "ds": 0.1, "weightings": weightings})
+        cfg = load_config(config)
+        analyze(cfg, tmp_path / "out")
+        assert sorted(designs) == sorted((wid, 1.0 / cfg.dt) for wid in weightings.values())
+        assert len(weighted) == cfg.n * len(weightings)
 
 
 class TestCliMatchesPipeline:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ridekit import iso2631, sections, thresholds
-from ridekit.signals import SpaceSeries, TimeSeries, VehicleResponse
+from ridekit.signals import SpaceSeries, TimeSeries, VehicleResponse, aggregate
 
 DS = 0.125
 seeds = st.integers(0, 2**32 - 1)
@@ -100,3 +100,23 @@ total_vibration = st.one_of(st.floats(0.0, 10.0), near_band_bounds)
 def test_iso_label_is_monotone_in_a_v(values):
     severities = [iso2631.severity(iso2631.classify_iso(v).label) for v in sorted(values)]
     assert severities == sorted(severities)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=seeds, n_runs=st.integers(1, 6), n=st.integers(1, 200), data=st.data())
+def test_aggregate_commutes_with_run_order(seed, n_runs, n, data):
+    # values from a few magnitudes with random signs, so ties in |value| are common
+    rng = np.random.default_rng(seed)
+    magnitudes = rng.uniform(0.0, 5.0, 4)
+    runs = []
+    for start in DS * rng.integers(0, 20, n_runs):
+        values = rng.choice(magnitudes, n + 20) * rng.choice([-1.0, 1.0], n + 20)
+        runs.append(SpaceSeries(float(start), DS, values))
+    order = data.draw(st.permutations(range(n_runs)))
+    shuffled = [runs[k] for k in order]
+    envelope = aggregate(runs, "max-abs-envelope")
+    assert np.array_equal(aggregate(shuffled, "max-abs-envelope").values, envelope.values)
+    mean, mean_shuffled = aggregate(runs, "mean"), aggregate(shuffled, "mean")
+    assert (mean.s0, len(mean)) == (mean_shuffled.s0, len(mean_shuffled))
+    scale = max(np.max(np.abs(r.values)) for r in runs)
+    assert np.max(np.abs(mean.values - mean_shuffled.values)) <= 1e-15 * scale

@@ -182,6 +182,12 @@ class TestAggregate:
         out = aggregate(runs, "max-abs-envelope")
         assert np.allclose(out.values, [2.0, -5.0])
 
+    def test_max_abs_envelope_tie_takes_the_positive_sample(self):
+        a = SpaceSeries(0.0, 1.0, [0.5, -1.0, 0.2])
+        b = SpaceSeries(0.0, 1.0, [-0.5, 1.0, 0.1])
+        for runs in ([a, b], [b, a]):
+            assert np.array_equal(aggregate(runs, "max-abs-envelope").values, [0.5, 1.0, 0.2])
+
     def test_empty_rejected(self):
         with pytest.raises(InvalidInput):
             aggregate([], "mean")

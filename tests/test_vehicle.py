@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dataclasses import replace
 
-from ridekit.errors import InvalidInput
-from ridekit.road import ReferenceLine, RoadGrid, SmoothingParams, straight_grid, synth_profile
+from ridekit import vehicle
+from ridekit.errors import DomainBoundsError, InvalidInput, NumericFailure
+from ridekit.integrators import half_grid_input
+from ridekit.road import ReferenceLine, RoadGrid, SmoothingParams, straight_grid, synth_profile, wheel_track_profile
 from ridekit.vehicle import (
     GRAVITY,
     CornerResponse,
@@ -12,6 +16,7 @@ from ridekit.vehicle import (
     Scenario,
     SpeedProfile,
     VehicleGeometry,
+    corner_dynamics,
     corner_response,
     corner_system,
     drive_plan,
@@ -241,3 +246,186 @@ class TestDrivePlan:
         ):
             with pytest.raises(InvalidInput, match="drive plan"):
                 call()
+
+    def test_two_corners_only_on_laterally_uniform_grid(self, car, geometry, class_c_grid):
+        uniform = Scenario(road=class_c_grid, target_speed=20.0, l_p=0.4)
+        assert class_c_grid.laterally_uniform
+        assert drive_plan(uniform, geometry, car.mu_tire).same_sides
+        smoothed = replace(uniform, smoothing=SmoothingParams(lambda_y=1e-3))
+        assert not drive_plan(smoothed, geometry, car.mu_tire).same_sides
+        crossfall = Scenario(road=curved_crossfall_grid(), target_speed=20.0)
+        assert not crossfall.road.laterally_uniform
+        assert not drive_plan(crossfall, geometry, car.mu_tire).same_sides
+
+    def test_two_corners_match_four(self, car, geometry, class_c_grid):
+        # the right track extracted and integrated on its own, as a plan
+        # without the grid rule would; the roll rate is exactly zero with two
+        # corners and rounding noise (~1e-16 deg/s) with four
+        scenario = Scenario(road=class_c_grid, target_speed=20.0, l_p=0.4)
+        plan = drive_plan(scenario, geometry, car.mu_tire)
+        right = wheel_track_profile(class_c_grid, scenario.l_p - geometry.track_width / 2, step=class_c_grid.grid_step)
+        s_half = half_grid_input(plan.s)
+        prof_s = class_c_grid.grid_step * np.arange(len(right))
+        fr = vehicle._corner_input(np.interp(s_half, prof_s, right), plan.dt)
+        rr = vehicle._corner_input(np.interp(s_half - geometry.wheelbase, prof_s, right), plan.dt)
+        four = replace(plan, wheels=(plan.wheels[0], fr, plan.wheels[2], rr))
+        assert not four.same_sides
+        two_run, four_run = corner_dynamics(plan, car), corner_dynamics(four, car)
+        for name in self.CHANNELS:
+            a, b = two_run.channel(name).values, four_run.channel(name).values
+            assert np.max(np.abs(a - b)) <= 1e-12 * max(np.max(np.abs(b)), 1.0), name
+
+    def test_right_wheel_off_a_uniform_grid_fails(self, car, geometry):
+        # only the left track is read, but the right wheel must lie on the road
+        grid = straight_grid(np.zeros(200), 0.5, lateral_span=2.0)
+        scenario = Scenario(road=grid, target_speed=10.0, l_p=-1.5)
+        with pytest.raises(DomainBoundsError, match="lateral offset"):
+            drive_plan(scenario, geometry, car.mu_tire)
+
+
+def _track_speed_loop(scenario, a_lim, dt):
+    """The speed controller stepped to the track end, one Python step at a time."""
+    profile = scenario.target_speed
+    bp = profile.breakpoints
+    vs = profile.speeds
+    n_bp = len(bp)
+    s_start = float(scenario.road.stations[0])
+    s_end = float(scenario.road.stations[-1])
+    tau = vehicle._CONTROLLER_TAU
+    v_dev = scenario.v_dev
+
+    j = 0
+
+    def target(s: float) -> float:
+        nonlocal j
+        if n_bp == 1:
+            return vs[0]
+        while j < n_bp - 2 and s > bp[j + 1]:
+            j += 1
+        if s <= bp[0]:
+            return vs[0]
+        if s >= bp[-1]:
+            return vs[-1]
+        w = (s - bp[j]) / (bp[j + 1] - bp[j])
+        return vs[j] + w * (vs[j + 1] - vs[j])
+
+    v = target(s_start) + v_dev
+    if v <= 0.1:
+        raise NumericFailure("commanded speed is non-positive at the start of the run")
+    s = s_start
+    max_steps = int(np.ceil((s_end - s_start) / (0.05 * dt))) + 2
+    vv = [v]
+    aa = []
+    ss = [s]
+    for _ in range(max_steps):
+        v_cmd = target(s) + v_dev
+        if v_cmd <= 0.1:
+            raise NumericFailure("commanded speed dropped to non-positive values")
+        acc = (v_cmd - v) / tau
+        if acc > a_lim:
+            acc = a_lim
+        elif acc < -a_lim:
+            acc = -a_lim
+        v_next = v + dt * acc
+        s = s + dt * 0.5 * (v + v_next)
+        v = v_next
+        vv.append(v)
+        aa.append(acc)
+        ss.append(s)
+        if s >= s_end:
+            break
+    else:
+        raise NumericFailure("speed integration stalled before reaching the track end")
+    aa.append(aa[-1])
+    return np.asarray(vv), np.asarray(aa), np.asarray(ss)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NumericFailure as exc:
+        return str(exc)
+
+
+class TestTrackSpeed:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        length=st.floats(5.0, 150.0),
+        start=st.floats(0.0, 500.0),
+        speeds=st.lists(st.floats(0.5, 30.0), min_size=1, max_size=4),
+        gaps=st.lists(st.floats(1.0, 60.0), min_size=3, max_size=3),
+        first_bp=st.floats(-20.0, 40.0),
+        v_dev=st.floats(-6.0, 6.0),
+        a_lim=st.floats(0.05, 8.0),
+        dt=st.floats(5e-4, vehicle.MAX_DT),
+    )
+    @example(length=100.0, start=0.0, speeds=[20.0], gaps=[1.0, 1.0, 1.0], first_bp=0.0, v_dev=0.0, a_lim=4.2, dt=1e-3)
+    @example(length=150.0, start=0.0, speeds=[12.0, 8.0], gaps=[5.0, 1.0, 1.0], first_bp=0.0, v_dev=1.3, a_lim=4.0, dt=1e-3)
+    @example(length=100.0, start=0.0, speeds=[10.0, 1.0], gaps=[20.0, 1.0, 1.0], first_bp=10.0, v_dev=-2.0, a_lim=4.0, dt=1e-3)
+    def test_equals_the_step_loop_bit_for_bit(self, length, start, speeds, gaps, first_bp, v_dev, a_lim, dt):
+        # constant and piecewise targets, breakpoints before, on and past the
+        # road; failing runs must fail with the same message
+        bp = start + first_bp + np.concatenate([[0.0], np.cumsum(gaps[: len(speeds) - 1])])
+        grid = straight_grid(np.zeros(int(length / 0.5) + 1), 0.5)
+        grid = RoadGrid(
+            ref_line=ReferenceLine.from_geometry(grid.stations + start, grid.ref_line.headings, grid.ref_line.elevation),
+            lateral_offsets=grid.lateral_offsets,
+            elevations=grid.elevations,
+            grid_step=grid.grid_step,
+        )
+        scenario = Scenario(road=grid, target_speed=SpeedProfile(bp, np.array(speeds)), v_dev=v_dev)
+        new = _outcome(vehicle._track_speed, scenario, a_lim, dt)
+        old = _outcome(_track_speed_loop, scenario, a_lim, dt)
+        if isinstance(old, str):
+            assert new == old
+        else:
+            assert not isinstance(new, str), new
+            for a, b in zip(new, old):
+                assert a.shape == b.shape and np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "speed",
+        [SpeedProfile.constant(20.0), SpeedProfile(np.array([0.0, 10.0]), np.array([12.0, 8.0]))],
+        ids=["constant", "settled"],
+    )
+    def test_cruise_reached(self, speed, monkeypatch):
+        calls = []
+        original = vehicle._cruise_positions
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(vehicle, "_cruise_positions", counting)
+        scenario = Scenario(road=straight_grid(np.zeros(3001), 0.1), target_speed=speed)
+        new = vehicle._track_speed(scenario, 4.0, 1e-3)
+        old = _track_speed_loop(scenario, 4.0, 1e-3)
+        assert len(calls) == 1
+        for a, b in zip(new, old):
+            assert np.array_equal(a, b)
+
+    def test_cruise_stalls_only_past_the_step_budget(self):
+        # ten steps of 1 m reach 10 m; nine do not
+        assert np.array_equal(vehicle._cruise_positions(0.0, 1.0, 10.0, 10), np.arange(1.0, 11.0))
+        assert np.array_equal(vehicle._cruise_positions(0.0, 1.0, 10.0, 11), np.arange(1.0, 11.0))
+        for args in ((0.0, 1.0, 10.0, 9), (0.0, 0.0, 10.0, 100), (0.0, -1.0, 10.0, 100)):
+            with pytest.raises(NumericFailure, match="stalled"):
+                vehicle._cruise_positions(*args)
+
+    @pytest.mark.parametrize(
+        "s, ds, s_end",
+        [
+            (0.0, 0.1, 1.0),  # ten additions of 0.1 fall just short of 1.0
+            # an increment of 1.4999 ulp adds one ulp each time: the sum needs
+            # half as many steps again as the quotient says
+            (2.0**20, 1.4999 * 2.0**-32, 2.0**20 + 1000 * 2.0**-32),
+        ],
+        ids=["tenths", "rounded_increment"],
+    )
+    def test_cruise_crosses_where_the_sequential_sum_does(self, s, ds, s_end):
+        out = vehicle._cruise_positions(s, ds, s_end, 10**6)
+        loop = []
+        while s < s_end:
+            s = s + ds
+            loop.append(s)
+        assert np.array_equal(out, loop)
