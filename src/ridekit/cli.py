@@ -120,7 +120,7 @@ def _cmd_iri(args) -> int:
     results = iri_mod.compute_iri(
         elevation, float(steps[0]), speed=args.speed_kmh / 3.6, segment_length=args.segment
     )
-    classify_speed = args.classify_speed_kmh or args.speed_kmh
+    classify_speed = args.speed_kmh if args.classify_speed_kmh is None else args.classify_speed_kmh
     lines = (
         f"{stations[0] + r.s_start:.3f},{r.iri:.6f},{iri_mod.classify_iri(r.iri, classify_speed)}\n" for r in results
     )

@@ -36,33 +36,33 @@ class PipelineConfig:
     """Validated pipeline inputs; see the shipped example config for the schema."""
 
     raw: dict = field(repr=False)
-    seed: int = 0
-    out_dir: str = "out"
-    road_file: str | None = None
-    road_synthetic: dict | None = None
-    smoothing: SmoothingParams = field(default_factory=SmoothingParams)
-    target_speed: SpeedProfile = field(default_factory=lambda: SpeedProfile.constant(80.0 / 3.6))
-    lane_half_width: float = 1.5
-    distributions: list[InputDistribution] = field(default_factory=default_input_distributions)
-    n: int = 50
-    dt: float = 1e-3
-    window_m: float = 5.0
-    ds: float = 0.1
-    methods: tuple[str, ...] = _METHODS
-    aggregator: str = "mean"
-    weightings: dict[str, str] = field(default_factory=lambda: dict(iso2631.DEFAULT_WEIGHTINGS))
-    k_factors: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    bands_file: str | None = None
-    iso_reduction: str = "mean"
-    iri_segment_m: float = 5.0
-    iri_speed_kmh: float = 80.0
-    front: QuarterCarParams = field(default_factory=default_car)
-    rear: QuarterCarParams = field(default_factory=default_car)
-    geometry: VehicleGeometry = field(default_factory=default_geometry)
-    calibration_chain: OptimizationChain = field(default_factory=OptimizationChain.default)
-    calibration_p0: dict[str, float] | None = None
-    calibration_tol: float = 1e-12
-    calibration_max_iter: int = 60
+    seed: int
+    out_dir: str
+    road_file: str | None
+    road_synthetic: dict | None
+    smoothing: SmoothingParams
+    target_speed: SpeedProfile
+    lane_half_width: float
+    distributions: list[InputDistribution]
+    n: int
+    dt: float
+    window_m: float
+    ds: float
+    methods: tuple[str, ...]
+    aggregator: str
+    weightings: dict[str, str]
+    k_factors: tuple[float, float, float]
+    bands_file: str | None
+    iso_reduction: str
+    iri_segment_m: float
+    iri_speed_kmh: float
+    front: QuarterCarParams
+    rear: QuarterCarParams
+    geometry: VehicleGeometry
+    calibration_chain: OptimizationChain
+    calibration_p0: dict[str, float] | None
+    calibration_tol: float
+    calibration_max_iter: int
 
 
 def _require(mapping: dict, key: str, context: str):
@@ -169,12 +169,18 @@ def _load_config(path, seed: int | None, out_dir: str | None, methods: tuple[str
             _check_keys(patch, {"start", "length", "roughness_class"}, "road.synthetic.patch")
             pklass = str(_require(patch, "roughness_class", "road.synthetic.patch")).upper()
             _one_of(pklass, ROUGHNESS_PSD_SCALE, "road.synthetic.patch.roughness_class")
+        lateral_span = float(synth.get("lateral_span", 2.0))
+        offset_step = float(synth.get("offset_step", 0.5))
+        if not (offset_step > 0):
+            raise ConfigError("road.synthetic.offset_step must be > 0")
+        if not np.isfinite(lateral_span) or round(2 * lateral_span / offset_step) < 1:
+            raise ConfigError("road.synthetic.lateral_span must be finite and give at least two lateral offsets")
         road_synthetic = {
             "length": length,
             "step": step,
             "roughness_class": klass,
-            "lateral_span": float(synth.get("lateral_span", 2.0)),
-            "offset_step": float(synth.get("offset_step", 0.5)),
+            "lateral_span": lateral_span,
+            "offset_step": offset_step,
             "patch": patch,
         }
     if road_file is None and road_synthetic is None:

@@ -5,15 +5,21 @@ The classical Runge-Kutta update for ``x' = A x + B u(t)`` with constant
 
     x[k+1] = Phi x[k] + G0 u[k] + Gm u[k+1/2] + G1 u[k+1]
 
-with constant matrices, so the whole trajectory can be computed with a scalar
-first-order filter per eigenmode instead of a Python loop.  Both paths produce
-the same iterates (up to float rounding); the loop remains as a fallback for
-defective propagators and as a cross-check in the test suite.
+whose matrices are polynomials in ``dt A``.  In the Schur basis of ``A``
+(``A = Q T Q^H``, ``Q`` unitary, ``T`` upper triangular) ``Phi`` is upper
+triangular with the RK4 stability polynomial of ``z = dt * lambda`` on its
+diagonal, one entry per eigenmode.  The trajectory is then one first-order
+filter per mode, solved from the last mode up, instead of a Python loop.  The
+basis is unitary, so the modal coordinates are no larger than the state and
+their rounding is not amplified, however close ``Phi`` is to the identity or
+the eigenvectors are to each other.  Both paths produce the same iterates (up
+to float rounding); the loop remains as the reference in the test suite.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import schur
 from scipy.signal import lfilter
 
 from .errors import NumericFailure
@@ -36,24 +42,15 @@ def half_grid_input(samples: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rk4_matrices(A: np.ndarray, B: np.ndarray, dt: float):
-    I = np.eye(A.shape[0])
-    A2 = A @ A
-    A3 = A2 @ A
-    A4 = A3 @ A
-    phi = I + dt * A + dt**2 / 2 * A2 + dt**3 / 6 * A3 + dt**4 / 24 * A4
-    g0 = dt / 6 * B + dt**2 / 6 * (A @ B) + dt**3 / 12 * (A2 @ B) + dt**4 / 24 * (A3 @ B)
-    gm = 2 * dt / 3 * B + dt**2 / 3 * (A @ B) + dt**3 / 12 * (A2 @ B)
-    g1 = dt / 6 * B
-    return phi, g0, gm, g1
+def _interleaved(a: np.ndarray) -> np.ndarray:
+    """Complex (r, c) array as the float (r, 2c) array of its real and imaginary parts."""
+    return np.ascontiguousarray(a).view(float)
 
 
 def rk4_lti_loop(A, B, u_half: np.ndarray, dt: float, x0) -> np.ndarray:
     """Literal step-by-step classical RK4; reference implementation."""
     A = np.asarray(A, dtype=float)
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    if B.shape[0] != A.shape[0]:
-        B = B.T
+    B = np.asarray(B, dtype=float)
     u = np.asarray(u_half, dtype=float)
     if u.ndim == 1:
         u = u[:, None]
@@ -95,9 +92,7 @@ def rk4_lti(A, B, u_half: np.ndarray, dt: float, x0) -> np.ndarray:
         States at the step grid, shape (N+1, n).
     """
     A = np.asarray(A, dtype=float)
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    if B.shape[0] != A.shape[0]:
-        B = B.T
+    B = np.asarray(B, dtype=float)
     u = np.asarray(u_half, dtype=float)
     if u.ndim == 1:
         u = u[:, None]
@@ -108,22 +103,27 @@ def rk4_lti(A, B, u_half: np.ndarray, dt: float, x0) -> np.ndarray:
     if n_steps == 0:
         return x0[None, :].copy()
 
-    phi, g0, gm, g1 = _rk4_matrices(A, B, dt)
-    w = u[0:-2:2] @ g0.T + u[1:-1:2] @ gm.T + u[2::2] @ g1.T  # (N, n)
-
-    lam, V = np.linalg.eig(phi)
-    if np.linalg.cond(V) > 1e8:
-        return rk4_lti_loop(A, B, u, dt, x0)
+    T, Q = schur(A, output="complex")
+    n = len(T)
+    M = dt * T
+    I = np.eye(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        v_inv = np.linalg.inv(V)
-        y0 = v_inv @ x0.astype(complex)
-        wy = w @ v_inv.T
-        ys = np.empty((n_steps + 1, A.shape[0]), dtype=complex)
-        ys[0] = y0
-        for i in range(A.shape[0]):
-            zi = np.array([lam[i] * y0[i]])
-            ys[1:, i], _ = lfilter([1.0], [1.0, -lam[i]], wy[:, i], zi=zi)
-        states = (ys @ V.T).real
+        # Phi, G0, Gm and G1 in the Schur basis, by Horner's rule in dt T.
+        phi = I + M @ (I + M @ (I / 2 + M @ (I / 6 + M / 24)))
+        qb = Q.conj().T @ B
+        g0 = dt * (I / 6 + M @ (I / 6 + M @ (I / 12 + M / 24))) @ qb
+        gm = dt * (2 * I / 3 + M @ (I / 3 + M / 12)) @ qb
+        g1 = dt / 6 * qb
+        # The long complex products run as real ones on interleaved parts.
+        w = u[0:-2:2] @ _interleaved(g0.T) + u[1:-1:2] @ _interleaved(gm.T) + u[2::2] @ _interleaved(g1.T)
+        w = w.view(complex)  # (N, n) modal inputs
+        ys = np.empty((n_steps + 1, n), dtype=complex)
+        ys[0] = Q.conj().T @ x0
+        for i in reversed(range(n)):  # mode i is driven by the modes after it
+            drive = w[:, i] + sum(phi[i, j] * ys[:-1, j] for j in range(i + 1, n))
+            ys[1:, i], _ = lfilter([1.0], [1.0, -phi[i, i]], drive, zi=[phi[i, i] * ys[0, i]])
+        states = ys.view(float) @ _interleaved(Q.conj()).T  # Re(ys @ Q.T)
+    states[0] = x0
     if not np.all(np.isfinite(states)) or np.max(np.abs(states)) > 1e9:
         raise NumericFailure("state integration diverged")
     return states

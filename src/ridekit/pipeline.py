@@ -101,6 +101,8 @@ def analyze(cfg: PipelineConfig, out_dir) -> dict:
     tests and interactive use; files are the authoritative output.
     """
     grid = build_road(cfg)
+    if grid.length < cfg.window_m:
+        raise ConfigError(f"analysis.window_m {cfg.window_m:g} m is longer than the {grid.length:g} m road")
     if "iri" in cfg.methods:
         _check_iri_fits(cfg, grid)
     out_dir = Path(out_dir)

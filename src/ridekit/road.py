@@ -14,7 +14,7 @@ import io
 import threading
 
 import numpy as np
-from scipy.interpolate import CubicSpline, RectBivariateSpline, make_smoothing_spline
+from scipy.interpolate import RectBivariateSpline, make_smoothing_spline
 from scipy.ndimage import median_filter, uniform_filter
 
 from .errors import DomainBoundsError, GridParseError, InvalidInput
@@ -112,7 +112,9 @@ class SmoothingParams:
 class RoadGrid:
     """Dense elevation grid attached to a reference line.
 
-    ``elevations`` has one row per station and one column per lateral offset.
+    ``elevations`` has one row per station and one column per lateral offset;
+    a grid has at least two offsets, so both wheels of a vehicle can sit
+    inside it.
     ``outliers_replaced`` reports how many cells the load-time cleaning step
     replaced with the local median.  The grid is immutable, so the smoothed
     surface of each :class:`SmoothingParams` is built once and kept on it
@@ -130,9 +132,9 @@ class RoadGrid:
         if not (self.grid_step > 0):
             raise InvalidInput("grid_step must be > 0")
         offsets = np.asarray(self.lateral_offsets, dtype=float)
-        if offsets.ndim != 1 or offsets.size == 0:
-            raise InvalidInput("lateral_offsets must be a non-empty 1-D array")
-        if offsets.size > 1 and np.any(np.diff(offsets) <= 0):
+        if offsets.ndim != 1 or offsets.size < 2:
+            raise InvalidInput("lateral_offsets must be a 1-D array of at least two offsets")
+        if np.any(np.diff(offsets) <= 0):
             raise InvalidInput("lateral_offsets must be strictly increasing")
         elev = np.asarray(self.elevations, dtype=float)
         if elev.shape != (len(self.ref_line.stations), len(offsets)):
@@ -160,9 +162,8 @@ class RoadGrid:
     def check_offset(self, v) -> None:
         """Raise :class:`DomainBoundsError` for lateral offsets outside the columns."""
         lo, hi = self.lateral_offsets[0], self.lateral_offsets[-1]
-        tol = 1e-9 if len(self.lateral_offsets) > 1 else 1e-6
         v = np.asarray(v, dtype=float)
-        if np.any(v < lo - tol) or np.any(v > hi + tol):
+        if np.any(v < lo - 1e-9) or np.any(v > hi + 1e-9):
             raise DomainBoundsError(f"lateral offset query outside [{lo}, {hi}]")
 
     def surface(self, params: SmoothingParams | None = None) -> SurfaceInterpolator:
@@ -189,11 +190,10 @@ def save_grid(path, grid: RoadGrid) -> None:
     """
     step = float(grid.stations[1] - grid.stations[0])
     offsets = grid.lateral_offsets
-    offset_step = float(offsets[1] - offsets[0]) if len(offsets) > 1 else 1.0
     buf = io.StringIO()
     buf.write(f"station_step={step!r}\n")
     buf.write(f"offset_start={float(offsets[0])!r}\n")
-    buf.write(f"offset_step={float(offset_step)!r}\n")
+    buf.write(f"offset_step={float(offsets[1] - offsets[0])!r}\n")
     buf.write(f"n_offsets={len(offsets)}\n")
     for i, s in enumerate(grid.stations):
         row = [repr(float(s)), repr(float(grid.ref_line.headings[i])), repr(float(grid.ref_line.elevation[i]))]
@@ -206,6 +206,9 @@ def save_grid(path, grid: RoadGrid) -> None:
 def load_grid(path) -> RoadGrid:
     """Parse a grid file and replace outlier cells by the local median.
 
+    The header gives ``station_step``, ``offset_start``, ``offset_step`` and
+    ``n_offsets`` (at least two); each data row holds the station, heading,
+    reference elevation and one elevation per lateral offset.
     A cell is an outlier when its deviation from the 3x3 neighborhood median
     exceeds five robust standard deviations (and one micrometer absolutely),
     or when it violates the +-10 m plausibility bound around the reference
@@ -236,8 +239,8 @@ def load_grid(path) -> RoadGrid:
                 raise GridParseError(f"non-numeric header value for {key!r}", line=lineno) from None
             if len(header) == len(_HEADER_KEYS):
                 n_offsets = int(header["n_offsets"])
-                if n_offsets < 1:
-                    raise GridParseError("n_offsets must be >= 1", line=lineno)
+                if n_offsets < 2:
+                    raise GridParseError("n_offsets must be >= 2", line=lineno)
             continue
         tokens = line.split()
         if len(tokens) != 3 + n_offsets:
@@ -275,9 +278,8 @@ def _clean_grid(elevations: np.ndarray, ref_elevation: np.ndarray) -> tuple[np.n
     # Rows are levelled by their robust crossfall before the median: "nearest"
     # padding counts an edge cell twice in its neighbours' windows, so on a
     # tilted row an edge outlier would drag their medians to the next column.
-    n_offsets = elevations.shape[1]
-    crossfall = np.median(np.diff(elevations, axis=1), axis=1) if n_offsets > 1 else np.zeros(len(elevations))
-    tilt = crossfall[:, None] * np.arange(n_offsets)
+    crossfall = np.median(np.diff(elevations, axis=1), axis=1)
+    tilt = crossfall[:, None] * np.arange(elevations.shape[1])
     med = median_filter(elevations - tilt, size=3, mode="nearest") + tilt
     resid = elevations - med
     # Scale estimated from the local-mean deviation field, which is not
@@ -303,8 +305,9 @@ class SurfaceInterpolator:
     """Cubic (smoothing) spline surface over one grid.
 
     Build once and query many times; the smoothed grid and the bicubic
-    interpolant are computed at construction.  With all penalties zero the
-    surface reproduces grid values at the nodes exactly.
+    interpolant over stations and lateral offsets are computed at
+    construction.  With all penalties zero the surface reproduces grid values
+    at the nodes exactly.
     """
 
     def __init__(self, grid: RoadGrid, params: SmoothingParams | None = None):
@@ -321,16 +324,9 @@ class SurfaceInterpolator:
             z = np.vstack(
                 [make_smoothing_spline(offsets, z[i, :], lam=self.params.lambda_y)(offsets) for i in range(z.shape[0])]
             )
-        if len(offsets) == 1:
-            self._line = CubicSpline(stations, z[:, 0]) if len(stations) >= 4 else None
-            self._z = z
-            self._surface = None
-        else:
-            kx = min(3, len(stations) - 1)
-            ky = min(3, len(offsets) - 1)
-            self._surface = RectBivariateSpline(stations, offsets, z, kx=kx, ky=ky, s=0)
-            self._line = None
-            self._z = z
+        kx = min(3, len(stations) - 1)
+        ky = min(3, len(offsets) - 1)
+        self._surface = RectBivariateSpline(stations, offsets, z, kx=kx, ky=ky, s=0)
 
     def _check_hull(self, s, v) -> None:
         g = self.grid
@@ -344,13 +340,7 @@ class SurfaceInterpolator:
     def at(self, s, v):
         """Surface elevation at station(s) ``s`` and lateral offset(s) ``v``."""
         self._check_hull(s, v)
-        s = np.asarray(s, dtype=float)
-        if self._surface is not None:
-            out = self._surface(s, np.asarray(v, dtype=float), grid=False)
-        elif self._line is not None:
-            out = self._line(s)
-        else:
-            out = np.interp(s, self.grid.stations, self._z[:, 0])
+        out = self._surface(np.asarray(s, dtype=float), np.asarray(v, dtype=float), grid=False)
         return float(out) if out.ndim == 0 else out
 
     def track(self, s: np.ndarray, v: float) -> np.ndarray:
@@ -359,8 +349,6 @@ class SurfaceInterpolator:
         Equal to ``at(s, v)`` point for point, from one tensor-product
         evaluation of the spline instead of one evaluation per point.
         """
-        if self._surface is None:
-            return np.asarray(self.at(s, v), dtype=float)
         self._check_hull(s, v)
         return self._surface(np.asarray(s, dtype=float), [float(v)])[:, 0]
 
@@ -425,7 +413,8 @@ def synth_profile(length: float, step: float, roughness_class: str, seed: int) -
 def straight_grid(profile: np.ndarray, step: float, lateral_span: float = 2.0, offset_step: float = 0.5) -> RoadGrid:
     """Wrap an elevation profile into a straight, flat-reference grid.
 
-    Every lateral column carries the same profile.
+    Every lateral column carries the same profile; the columns run from
+    ``-lateral_span`` to ``+lateral_span`` in steps of ``offset_step``.
     """
     profile = np.asarray(profile, dtype=float)
     stations = step * np.arange(len(profile))

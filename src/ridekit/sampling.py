@@ -187,12 +187,12 @@ def run_batch(
     failures: list[tuple[int, str]] = []
     for i in range(plan.n):
         inputs = plan.row_inputs(i)
-        scenario = base_scenario.with_inputs(
-            v_dev=inputs.get("v_dev", base_scenario.v_dev),
-            l_p=inputs.get("l_p", base_scenario.l_p),
-            mu_rs=inputs.get("mu_rs", base_scenario.mu_rs),
-        )
         try:
+            scenario = base_scenario.with_inputs(
+                v_dev=inputs.get("v_dev", base_scenario.v_dev),
+                l_p=inputs.get("l_p", base_scenario.l_p),
+                mu_rs=inputs.get("mu_rs", base_scenario.mu_rs),
+            )
             response = simulate(scenario, params, geometry, dt=dt, rear_params=rear_params)
         except ToolkitError as exc:
             responses.append(None)

@@ -28,11 +28,9 @@ __all__ = [
     "VehicleGeometry",
     "SpeedProfile",
     "Scenario",
-    "CornerResponse",
     "default_car",
     "default_geometry",
     "corner_system",
-    "corner_response",
     "DrivePlan",
     "drive_plan",
     "corner_dynamics",
@@ -187,15 +185,6 @@ def corner_system(params: QuarterCarParams) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-@dataclass(frozen=True)
-class CornerResponse:
-    """Sprung-mass displacement, velocity, and acceleration of one corner."""
-
-    displacement: TimeSeries
-    velocity: TimeSeries
-    acceleration: TimeSeries
-
-
 def _corner_input(h_half: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """RK4 input [h, h'] of one corner on the half grid, and its starting state.
 
@@ -206,46 +195,6 @@ def _corner_input(h_half: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray
     u = np.column_stack([h_half, hdot])
     x0 = np.array([h_half[0], hdot[0], h_half[0], hdot[0]])
     return u, x0
-
-
-def corner_response(
-    profile: np.ndarray,
-    step: float,
-    speed: float,
-    params: QuarterCarParams,
-    dt: float = 1e-3,
-) -> CornerResponse:
-    """Drive one corner over an elevation profile at constant speed.
-
-    The corner starts in static equilibrium on the initial elevation, rolling
-    along the initial slope, so a profile that begins smoothly produces no
-    startup transient.
-    """
-    if not (0 < dt <= MAX_DT):
-        raise InvalidInput(f"dt must be in (0, {MAX_DT}] s")
-    if speed <= 0:
-        raise InvalidInput("speed must be > 0")
-    profile = np.asarray(profile, dtype=float)
-    if profile.ndim != 1 or len(profile) < 2:
-        raise InvalidInput("profile must hold at least two samples")
-    if not np.all(np.isfinite(profile)):
-        raise InvalidInput("profile contains non-finite samples")
-    length = (len(profile) - 1) * step
-    n_steps = int(np.floor(length / (speed * dt)))
-    if n_steps < 1:
-        raise InvalidInput("profile too short for one integration step")
-    s_half = speed * (dt / 2.0) * np.arange(2 * n_steps + 1)
-    grid_s = step * np.arange(len(profile))
-    h_half = np.interp(s_half, grid_s, profile)
-    a, b = corner_system(params)
-    u, x0 = _corner_input(h_half, dt)
-    states = rk4_lti(a, b, u, dt, x0)
-    accel = states @ a[1]
-    return CornerResponse(
-        displacement=TimeSeries(0.0, dt, states[:, 0], "m"),
-        velocity=TimeSeries(0.0, dt, states[:, 1], "m/s"),
-        acceleration=TimeSeries(0.0, dt, accel, "m/s^2"),
-    )
 
 
 def _track_speed(

@@ -95,11 +95,16 @@ class TestConfig:
             ("iri", {"segment_m": 300.0}),
             ("iri", {"segment_m": 150.0}),
             ("road", {"synthetic": None, "file": "coarse_grid.txt"}),
+            ("analysis", {"window_m": 250.0}),
+            ("road", {"synthetic": {"length": 200.0, "step": 0.1, "roughness_class": "B", "offset_step": 0.0}}),
+            ("road", {"synthetic": {"length": 200.0, "step": 0.1, "roughness_class": "B", "lateral_span": 0.0}}),
+            ("road", {"synthetic": {"length": 200.0, "step": 0.1, "roughness_class": "B", "lateral_span": float("inf")}}),
         ],
         ids=[
             "aggregator", "iso_reduction", "ds", "weightings", "dt", "segment_m", "speed_kmh", "window_below_ds",
             "segment_below_step", "step", "iri_step", "segment_beyond_road", "one_interpolated_segment",
-            "iri_step_grid_file",
+            "iri_step_grid_file", "window_beyond_road", "offset_step", "lateral_span",
+            "lateral_span_inf",
         ],
     )
     def test_bad_setting_fails_before_any_output(self, tmp_path, monkeypatch, capsys, section, entry):
@@ -270,6 +275,24 @@ class TestAnalyze:
             assert p1.read_bytes() == (out2 / p1.name).read_bytes(), p1.name
 
 
+    def test_out_of_lane_row_fails_alone_and_bundle_completes(self, tmp_path):
+        # the two stratified l_p draws land in [0, 1.5) and [1.5, 3): one run
+        # stays in the lane, the other is outside it
+        path = write_config(
+            tmp_path / "c.yaml",
+            road={"synthetic": {"length": 200.0, "step": 0.1, "roughness_class": "B", "lateral_span": 2.5}},
+            scenario={"target_speed_kmh": 54.0, "distributions": {"l_p": {"kind": "uniform", "a": 0.0, "b": 3.0}}},
+            batch={"n": 2, "dt": 0.002},
+        )
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", str(path), "--out", str(out)]) == 0
+        failures = (out / "failures.csv").read_text().splitlines()[1:]
+        assert len(failures) == 1 and "lane half width" in failures[0]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["outputs"]) == {p.name for p in out.iterdir()} - {"manifest.json"}
+        assert "iri_report.csv" in manifest["outputs"]
+
+
 class TestSharedWork:
     def test_analyze_builds_the_surface_once(self, tmp_path, monkeypatch):
         # every wheel track of every run and the IRI track read one surface
@@ -401,6 +424,16 @@ class TestSmallCommands:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "s_start,iri,label"
         assert len(lines) == 3  # 119.9 m -> 2 segments
+
+    def test_iri_cli_zero_classify_speed_fails(self, tmp_path, capsys):
+        profile = tmp_path / "profile.csv"
+        s = 0.1 * np.arange(1200)
+        profile.write_text("station,elevation\n" + "\n".join(f"{a},0.0" for a in s) + "\n")
+        out = tmp_path / "iri.csv"
+        args = ["iri", "--profile", str(profile), "--segment", "50", "--classify-speed-kmh", "0", "--out", str(out)]
+        assert main(args) == 2
+        assert "error [InvalidInput]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_iso_cli(self, tmp_path, class_c_run):
         trace = tmp_path / "trace.csv"

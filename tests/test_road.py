@@ -113,16 +113,36 @@ class TestLoadGrid:
 
     def test_non_numeric_cell(self, tmp_path):
         path = tmp_path / "nan.txt"
-        text = "station_step=1.0\noffset_start=0.0\noffset_step=1.0\nn_offsets=1\n0 0 0 1\n1 0 0 x\n"
+        text = "station_step=1.0\noffset_start=0.0\noffset_step=1.0\nn_offsets=2\n0 0 0 1 1\n1 0 0 x 1\n"
         path.write_text(text)
         with pytest.raises(GridParseError, match="line 6"):
             load_grid(path)
+
+    def test_single_offset_rejected(self, tmp_path):
+        # both wheels of a vehicle would fall outside a one-column grid
+        path = tmp_path / "one.txt"
+        path.write_text("station_step=1.0\noffset_start=0.0\noffset_step=1.0\nn_offsets=1\n0 0 0 1\n1 0 0 1\n")
+        with pytest.raises(GridParseError, match="n_offsets must be >= 2") as err:
+            load_grid(path)
+        assert err.value.line == 4
 
     def test_unknown_header_rejected(self, tmp_path):
         path = tmp_path / "hdr.txt"
         path.write_text("station_step=1.0\nwavelength=3\n")
         with pytest.raises(GridParseError, match="unknown header"):
             load_grid(path)
+
+
+class TestRoadGrid:
+    @pytest.mark.parametrize("offsets", [[0.0], []], ids=["one", "none"])
+    def test_needs_two_offsets(self, offsets):
+        ref = ReferenceLine.from_geometry([0.0, 1.0], [0.0, 0.0], [0.0, 0.0])
+        with pytest.raises(InvalidInput, match="at least two offsets"):
+            RoadGrid(ref_line=ref, lateral_offsets=np.array(offsets), elevations=np.zeros((2, len(offsets))), grid_step=1.0)
+
+    def test_straight_grid_without_lateral_span_rejected(self):
+        with pytest.raises(InvalidInput, match="at least two offsets"):
+            straight_grid(np.zeros(20), 0.1, lateral_span=0.0)
 
 
 class TestElevationAt:

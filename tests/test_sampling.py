@@ -141,6 +141,20 @@ class TestRunBatch:
         assert batch.responses[0] is not None and batch.responses[2] is not None
         assert len(batch.successful()) == 2
 
+    @pytest.mark.parametrize("row", [[0.0, 2.0, 1.0], [0.0, 0.0, 1.6]], ids=["l_p", "mu_rs"])
+    def test_out_of_bounds_row_fails_alone(self, batch_setup, car, geometry, row):
+        _, scenario = batch_setup
+        matrix = np.array([[0.1, 0.2, 0.9], row, [-0.1, -0.3, 0.7]])
+        plan = SamplePlan(names=("v_dev", "l_p", "mu_rs"), matrix=matrix, seed=0)
+        batch = run_batch(plan, scenario, car, geometry, dt=2e-3)
+        assert [i for i, _ in batch.failures] == [1]
+        message = "lane half width" if row[1] else "mu_rs"
+        assert message in batch.failures[0][1]
+        for i in (0, 2):
+            direct = simulate(scenario.with_inputs(*matrix[i]), car, geometry, dt=2e-3)
+            assert np.array_equal(batch.responses[i].a_z.values, direct.a_z.values)
+            assert np.array_equal(batch.responses[i].s.values, direct.s.values)
+
     def test_unknown_plan_column_rejected(self, batch_setup, car, geometry):
         _, scenario = batch_setup
         plan = SamplePlan(names=("v_dev", "wind"), matrix=np.zeros((1, 2)), seed=0)

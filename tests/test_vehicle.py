@@ -7,17 +7,15 @@ from dataclasses import replace
 
 from ridekit import vehicle
 from ridekit.errors import DomainBoundsError, InvalidInput, NumericFailure
-from ridekit.integrators import half_grid_input
+from ridekit.integrators import half_grid_input, rk4_lti
 from ridekit.road import ReferenceLine, RoadGrid, SmoothingParams, straight_grid, synth_profile, wheel_track_profile
 from ridekit.vehicle import (
     GRAVITY,
-    CornerResponse,
     QuarterCarParams,
     Scenario,
     SpeedProfile,
     VehicleGeometry,
     corner_dynamics,
-    corner_response,
     corner_system,
     drive_plan,
     simulate,
@@ -155,30 +153,28 @@ class TestSpeedTracking:
 
 
 class TestCornerResponse:
-    def test_zero_profile_zero_state(self, car):
-        out = corner_response(np.zeros(200), 0.1, 10.0, car)
-        assert isinstance(out, CornerResponse)
-        assert np.max(np.abs(out.displacement.values)) == 0.0
-        assert np.max(np.abs(out.acceleration.values)) == 0.0
-
-    def test_step_settles_to_static_equilibrium(self, car):
+    def test_step_settles_to_static_equilibrium(self, car, geometry):
         height = 0.05
         step = 0.1
         v = 2.0
         profile = np.full(int(25.0 * v / step), height)
         profile[: int(1.0 / step)] = 0.0  # 1 m run-up then a step
-        out = corner_response(profile, step, v, car, dt=1e-3)
-        assert abs(out.displacement.values[-1] - height) < 1e-6 * height
+        scenario = Scenario(road=straight_grid(profile, step), target_speed=SpeedProfile.constant(v))
+        plan = drive_plan(scenario, geometry, scenario.mu_rs * car.mu_tire, dt=1e-3)
+        u, x0 = plan.wheels[0]
+        states = rk4_lti(*corner_system(car), u, 1e-3, x0)
+        assert abs(states[-1, 0] - height) < 1e-6 * height
 
-    def test_impulse_energy_matches_refined_run(self, car):
+    def test_impulse_energy_matches_refined_run(self, car, geometry):
         step = 0.1
         v = 10.0
         profile = np.zeros(600)
         profile[100:103] = 0.02
-        coarse = corner_response(profile, step, v, car, dt=2e-3)
-        fine = corner_response(profile, step, v, car, dt=2e-4)
-        e_coarse = np.sum(coarse.acceleration.values**2) * 2e-3
-        e_fine = np.sum(fine.acceleration.values**2) * 2e-4
+        scenario = Scenario(road=straight_grid(profile, step), target_speed=SpeedProfile.constant(v))
+        coarse = simulate(scenario, car, geometry, dt=2e-3)
+        fine = simulate(scenario, car, geometry, dt=2e-4)
+        e_coarse = np.sum(coarse.a_z.values**2) * 2e-3
+        e_fine = np.sum(fine.a_z.values**2) * 2e-4
         assert e_coarse == pytest.approx(e_fine, rel=5e-3)
 
     def test_energy_drift_undamped(self):
@@ -186,8 +182,6 @@ class TestCornerResponse:
         a, _ = corner_system(params)
         dt = 1e-3
         # released from a deflected sprung mass over flat ground, h = 0
-        from ridekit.integrators import rk4_lti
-
         x0 = np.array([0.02, 0.0, 0.0, 0.0])
         n = int(10.0 / dt)
         states = rk4_lti(a, np.array([[0.0, 0.0]] * 4).reshape(4, 2), np.zeros((2 * n + 1, 2)), dt, x0)
