@@ -129,7 +129,7 @@ def _align(sim: TimeSeries, ref: TimeSeries) -> tuple[TimeSeries, TimeSeries]:
     """Bring a simulated channel onto the reference time grid."""
     if abs(sim.dt - ref.dt) > 1e-12 * max(sim.dt, ref.dt):
         values = np.interp(ref.t, sim.t, sim.values)
-        sim = TimeSeries(ref.t0, ref.dt, values, sim.unit)
+        sim = TimeSeries(ref.t0, ref.dt, values)
     n = min(len(sim), len(ref))
     if n < 2:
         raise InvalidInput("traces share fewer than two samples")

@@ -138,7 +138,7 @@ def _cmd_iso(args) -> int:
         weightings[axis] = iso2631.load_weighting(wid)
     weighted = iso2631.weight_axes(run, weightings)
     rms = [weighted[axis].a_w_rms if axis in weighted else 0.0 for axis in ("x", "y", "z")]
-    a_v = iso2631.combine(*rms).a_v
+    a_v = iso2631.combine({axis: r**2 for axis, r in zip("xyz", rms)})
     label, perception = iso2631.classify_iso(a_v)
     values = ",".join(f"{v:.6e}" for v in (*rms, a_v))
     _emit(args.out, f"ax_w_rms,ay_w_rms,az_w_rms,a_v,label,perception\n{values},{label},{perception}\n")

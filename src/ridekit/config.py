@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import iso2631
+from . import iso2631, thresholds
 from .calibration import CALIBRATION_PARAMETERS, OptimizationChain
-from .errors import ConfigError
+from .errors import ConfigError, InvalidInput
 from .road import ROUGHNESS_PSD_SCALE, SmoothingParams
 from .sampling import InputDistribution, default_input_distributions
 from .sections import ISO_REDUCTIONS
@@ -52,7 +52,7 @@ class PipelineConfig:
     aggregator: str
     weightings: dict[str, str]
     k_factors: tuple[float, float, float]
-    bands_file: str | None
+    bands: dict[tuple[str, str], thresholds.ThresholdBand] | None
     iso_reduction: str
     iri_segment_m: float
     iri_speed_kmh: float
@@ -224,6 +224,12 @@ def _load_config(path, seed: int | None, out_dir: str | None, methods: tuple[str
     bands_file = analysis.get("bands_file")
     if bands_file is not None and not Path(bands_file).exists():
         raise ConfigError(f"analysis.bands_file {bands_file!r} does not exist")
+    bands = None
+    if "threshold" in methods:
+        try:
+            bands = thresholds.load_bands(bands_file)
+        except InvalidInput as exc:
+            raise ConfigError(f"analysis.bands_file: {exc}") from exc
     window_m = float(analysis.get("window_m", 5.0))
     if window_m <= 0:
         raise ConfigError("analysis.window_m must be > 0")
@@ -243,9 +249,9 @@ def _load_config(path, seed: int | None, out_dir: str | None, methods: tuple[str
     _check_keys(weightings, {"x", "y", "z"}, "analysis.weightings")
     for axis, wid in weightings.items():
         _one_of(wid.lower(), iso2631.available_weightings(), f"analysis.weightings.{axis}")
-    k_raw = analysis.get("k_factors", [1.0, 1.0, 1.0])
-    if len(k_raw) != 3:
-        raise ConfigError("analysis.k_factors must hold three values")
+    k_factors = tuple(float(k) for k in analysis.get("k_factors", [1.0, 1.0, 1.0]))
+    if len(k_factors) != 3 or not all(np.isfinite(k) and k >= 0 for k in k_factors):
+        raise ConfigError("analysis.k_factors must hold three finite values >= 0")
 
     iri_entry = raw.get("iri", {})
     _check_keys(iri_entry, {"segment_m", "speed_kmh"}, "iri")
@@ -310,8 +316,8 @@ def _load_config(path, seed: int | None, out_dir: str | None, methods: tuple[str
         methods=methods,
         aggregator=aggregator,
         weightings=weightings,
-        k_factors=tuple(float(x) for x in k_raw),
-        bands_file=bands_file,
+        k_factors=k_factors,
+        bands=bands,
         iso_reduction=iso_reduction,
         iri_segment_m=iri_segment_m,
         iri_speed_kmh=iri_speed_kmh,

@@ -1,17 +1,20 @@
 """Whole-body vibration comfort: frequency weighting, RMS, and comfort bands.
 
-The weighting is a cascade of four second-order analog stages (high pass, low
-pass, acceleration-velocity transition, upward step) discretized stage by
-stage with the bilinear transform ``p = (2/Ts) (1 - z^-1) / (1 + z^-1)``.
-Numeric stage parameters ship in ``data/iso_weightings_v1.csv``; ``k`` weights
-vertical and ``d`` horizontal seated comfort.
+The weighting is a cascade of up to four second-order analog stages (high
+pass, low pass, acceleration-velocity transition, upward step) discretized
+stage by stage with the bilinear transform ``p = (2/Ts) (1 - z^-1) / (1 + z^-1)``.
+Numeric stage parameters ship in ``data/iso_weightings_v1.csv``; a weighting
+has the stages whose parameters its row gives.  ``k`` weights vertical and
+``d`` horizontal seated comfort.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
-from dataclasses import dataclass, fields
+from collections.abc import Mapping
+from dataclasses import dataclass
 from importlib import resources
 from typing import NamedTuple
 
@@ -24,7 +27,6 @@ from .signals import TimeSeries, VehicleResponse
 __all__ = [
     "FilterSpec",
     "WeightedResult",
-    "CombinedVibration",
     "IsoClassification",
     "COMFORT_LABELS",
     "COMFORT_LOWER_BOUNDS",
@@ -65,16 +67,14 @@ DEFAULT_WEIGHTINGS = {"x": "d", "y": "d", "z": "k"}
 #: Probability-of-perception transition range [m/s^2].
 PERCEPTION_RANGE = (0.01, 0.02)
 
-_STAGES = "hlts"
-
 
 @dataclass(frozen=True)
 class FilterSpec:
     """Stage parameters of one weighting.
 
-    Corner frequencies are in Hz; ``None`` marks an absent corner (the term
-    drops out of the stage).  ``stage_enabled`` maps each of ``h``, ``l``,
-    ``t``, ``s`` to whether that stage participates; disabled stages are unity.
+    Corner frequencies ``f*`` are in Hz and ``q*`` are quality factors;
+    ``None`` marks an absent parameter.  A cascade stage is present when its
+    parameters are given and unity when none is; see :data:`_STAGES`.
     """
 
     weighting_id: str
@@ -87,77 +87,70 @@ class FilterSpec:
     q5: float | None = None
     f6: float | None = None
     q6: float | None = None
-    stage_enabled: dict[str, bool] | None = None
 
     def __post_init__(self):
-        enabled = dict.fromkeys(_STAGES, False) | (self.stage_enabled or {})
-        unknown = set(enabled) - set(_STAGES)
-        if unknown:
-            raise InvalidInput(f"unknown stages {sorted(unknown)}")
-        object.__setattr__(self, "stage_enabled", enabled)
-        required = {"h": ("f1",), "l": ("f2",), "t": ("f4", "q4"), "s": ("f5", "q5", "f6", "q6")}
-        for stage, names in required.items():
-            if not enabled[stage]:
-                continue
-            for name in names:
-                value = getattr(self, name)
-                if value is None or not (value > 0):
-                    raise InvalidInput(f"stage {stage!r} needs {name} > 0")
-
-    def enabled_corners(self) -> dict[str, float]:
-        """Largest finite corner frequency per enabled stage."""
-        out = {}
-        if self.stage_enabled["h"]:
-            out["h"] = self.f1
-        if self.stage_enabled["l"]:
-            out["l"] = self.f2
-        if self.stage_enabled["t"]:
-            out["t"] = max(f for f in (self.f3, self.f4) if f is not None)
-        if self.stage_enabled["s"]:
-            out["s"] = max(self.f5, self.f6)
-        return out
+        for stage, (params, _) in _STAGES.items():
+            given = [name for name in params if getattr(self, name) is not None]
+            missing = [name for name in params if name not in given and name not in _OPTIONAL]
+            if given and missing:
+                raise InvalidInput(f"{stage} stage of {self.weighting_id!r} needs {', '.join(missing)}")
+            for name in given:
+                if not (getattr(self, name) > 0):
+                    raise InvalidInput(f"{stage} stage of {self.weighting_id!r} needs {name} > 0")
 
 
-_STAGE_NAMES = {"h": "high-pass", "l": "low-pass", "t": "transition", "s": "step"}
+def _high_pass(spec: FilterSpec) -> tuple[list[float], list[float]]:
+    w1 = 2 * math.pi * spec.f1
+    return [1.0, 0.0, 0.0], [1.0, _SQRT2 * w1, w1 * w1]
 
 
-def _parse_weighting_table() -> dict[str, FilterSpec]:
-    specs = {}
+def _low_pass(spec: FilterSpec) -> tuple[list[float], list[float]]:
+    w2 = 2 * math.pi * spec.f2
+    return [0.0, 0.0, w2 * w2], [1.0, _SQRT2 * w2, w2 * w2]
+
+
+def _transition(spec: FilterSpec) -> tuple[list[float], list[float]]:
+    w4 = 2 * math.pi * spec.f4
+    if spec.f3 is None:
+        num = [0.0, 0.0, w4 * w4]
+    else:
+        num = [0.0, w4 * w4 / (2 * math.pi * spec.f3), w4 * w4]
+    return num, [1.0, w4 / spec.q4, w4 * w4]
+
+
+def _step(spec: FilterSpec) -> tuple[list[float], list[float]]:
+    w5 = 2 * math.pi * spec.f5
+    w6 = 2 * math.pi * spec.f6
+    return [1.0, w5 / spec.q5, w5 * w5], [1.0, w6 / spec.q6, w6 * w6]
+
+
+#: Cascade stages in order: the parameters of each and its quadratic analog
+#: (b, a) polynomials in p.
+_STAGES = {
+    "high-pass": (("f1",), _high_pass),
+    "low-pass": (("f2",), _low_pass),
+    "transition": (("f3", "f4", "q4"), _transition),
+    "step": (("f5", "q5", "f6", "q6"), _step),
+}
+
+#: Parameters a present stage may leave out (the term drops out).
+_OPTIONAL = {"f3"}
+
+
+@functools.cache
+def _table() -> dict[str, FilterSpec]:
     text = resources.files("ridekit.data").joinpath("iso_weightings_v1.csv").read_text(encoding="utf-8")
     rows = [line for line in text.splitlines() if line and not line.startswith("#")]
+    params = [name for names, _ in _STAGES.values() for name in names]
+    specs = {}
     for record in csv.DictReader(rows):
-        def num(key: str) -> float | None:
-            raw = record[key].strip()
-            return None if raw == "inf" else float(raw)
-
-        specs[record["id"]] = FilterSpec(
-            weighting_id=record["id"],
-            f1=num("f1"),
-            f2=num("f2"),
-            f3=num("f3"),
-            f4=num("f4"),
-            q4=num("q4"),
-            f5=num("f5"),
-            q5=num("q5"),
-            f6=num("f6"),
-            q6=num("q6"),
-            stage_enabled={stage: stage in record["stages"] for stage in _STAGES},
-        )
+        values = {name: None if record[name].strip() == "inf" else float(record[name]) for name in params}
+        specs[record["id"]] = FilterSpec(weighting_id=record["id"], **values)
     return specs
-
-
-_WEIGHTING_TABLE: dict[str, FilterSpec] | None = None
 
 
 def available_weightings() -> tuple[str, ...]:
     return tuple(sorted(_table()))
-
-
-def _table() -> dict[str, FilterSpec]:
-    global _WEIGHTING_TABLE
-    if _WEIGHTING_TABLE is None:
-        _WEIGHTING_TABLE = _parse_weighting_table()
-    return _WEIGHTING_TABLE
 
 
 def load_weighting(weighting_id: str) -> FilterSpec:
@@ -170,48 +163,23 @@ def load_weighting(weighting_id: str) -> FilterSpec:
         ) from None
 
 
-def _analog_stages(spec: FilterSpec) -> list[tuple[str, list[float], list[float]]]:
-    """Quadratic (b, a) polynomials in p for each enabled stage."""
-    stages = []
-    if spec.stage_enabled["h"]:
-        w1 = 2 * math.pi * spec.f1
-        stages.append(("h", [1.0, 0.0, 0.0], [1.0, _SQRT2 * w1, w1 * w1]))
-    if spec.stage_enabled["l"]:
-        w2 = 2 * math.pi * spec.f2
-        stages.append(("l", [0.0, 0.0, w2 * w2], [1.0, _SQRT2 * w2, w2 * w2]))
-    if spec.stage_enabled["t"]:
-        w4 = 2 * math.pi * spec.f4
-        if spec.f3 is None:
-            num = [0.0, 0.0, w4 * w4]
-        else:
-            num = [0.0, w4 * w4 / (2 * math.pi * spec.f3), w4 * w4]
-        stages.append(("t", num, [1.0, w4 / spec.q4, w4 * w4]))
-    if spec.stage_enabled["s"]:
-        w5 = 2 * math.pi * spec.f5
-        w6 = 2 * math.pi * spec.f6
-        stages.append(("s", [1.0, w5 / spec.q5, w5 * w5], [1.0, w6 / spec.q6, w6 * w6]))
-    return stages
-
-
-#: Designed cascades by (spec values, sample rate); see :func:`design_filter`.
-_DESIGNS: dict[tuple, np.ndarray] = {}
+#: Designed cascades by (spec, sample rate); see :func:`design_filter`.
+_DESIGNS: dict[tuple[FilterSpec, float], np.ndarray] = {}
 
 
 def design_filter(spec: FilterSpec, sample_rate: float) -> np.ndarray:
     """Second-order sections of the discrete weighting cascade.
 
-    Every enabled stage is bilinear-transformed independently; disabled stages
-    contribute unity.  Each enabled corner must stay at or below the Nyquist
-    frequency.  Frequency warping keeps the magnitude within about 1% of the
-    analog cascade for frequencies up to ``sample_rate / 20``.
+    Every present stage is bilinear-transformed independently; absent stages
+    contribute unity.  The largest corner frequency of each present stage must
+    stay at or below the Nyquist frequency.  Frequency warping keeps the
+    magnitude within about 1% of the analog cascade for frequencies up to
+    ``sample_rate / 20``.
 
-    Memoised by value: specs with equal fields at an equal sample rate share
-    one design, returned as a read-only array.
+    Memoised by value: equal specs at an equal sample rate share one design,
+    returned as a read-only array.
     """
-    key = tuple(
-        tuple(value.items()) if isinstance(value, dict) else value
-        for value in (getattr(spec, f.name) for f in fields(spec))
-    ) + (sample_rate,)
+    key = (spec, sample_rate)
     sos = _DESIGNS.get(key)
     if sos is None:
         sos = _DESIGNS[key] = _design(spec, sample_rate)
@@ -219,19 +187,27 @@ def design_filter(spec: FilterSpec, sample_rate: float) -> np.ndarray:
     return sos
 
 
+def _analog_stages(spec: FilterSpec) -> list[tuple[str, float, list[float], list[float]]]:
+    """Name, largest corner frequency and (b, a) of each present stage, in cascade order."""
+    stages = []
+    for stage, (params, polynomials) in _STAGES.items():
+        if any(getattr(spec, name) is not None for name in params):
+            corner = max(getattr(spec, name) or 0.0 for name in params if name.startswith("f"))
+            stages.append((stage, corner, *polynomials(spec)))
+    return stages
+
+
 def _design(spec: FilterSpec, sample_rate: float) -> np.ndarray:
     if sample_rate <= 0:
         raise FilterDesignError("sample_rate must be > 0")
-    for stage, corner in spec.enabled_corners().items():
-        if sample_rate < 2.0 * corner:
-            raise FilterDesignError(
-                f"{_STAGE_NAMES[stage]} stage corner {corner} Hz needs sample rate >= {2 * corner} Hz"
-            )
     stages = _analog_stages(spec)
+    for stage, corner, _, _ in stages:
+        if sample_rate < 2.0 * corner:
+            raise FilterDesignError(f"{stage} stage corner {corner} Hz needs sample rate >= {2 * corner} Hz")
     if not stages:
         return np.array([[1.0, 0.0, 0.0, 1.0, 0.0, 0.0]])
     sos = np.empty((len(stages), 6))
-    for i, (_, b, a) in enumerate(stages):
+    for i, (_, _, b, a) in enumerate(stages):
         bz, az = bilinear(b, a, fs=sample_rate)
         sos[i, :3] = np.pad(bz, (3 - len(bz), 0))
         sos[i, 3:] = np.pad(az, (3 - len(az), 0))
@@ -262,7 +238,7 @@ def weight_signal(a: TimeSeries, spec: FilterSpec) -> WeightedResult:
     sos = design_filter(spec, 1.0 / a.dt).copy()
     weighted = sosfilt(sos, a.values)
     rms = float(np.sqrt(np.mean(weighted * weighted)))
-    return WeightedResult(a_w=TimeSeries(a.t0, a.dt, weighted, a.unit), a_w_rms=rms)
+    return WeightedResult(a_w=TimeSeries(a.t0, a.dt, weighted), a_w_rms=rms)
 
 
 def weight_axes(run: VehicleResponse, weightings: dict[str, FilterSpec]) -> dict[str, WeightedResult]:
@@ -270,23 +246,23 @@ def weight_axes(run: VehicleResponse, weightings: dict[str, FilterSpec]) -> dict
     return {axis: weight_signal(run.channel(f"a{axis}"), spec) for axis, spec in weightings.items()}
 
 
-@dataclass(frozen=True)
-class CombinedVibration:
-    """Total vibration value."""
+def combine(
+    mean_squares: Mapping[str, float | np.ndarray], k_factors: tuple[float, float, float] | None = None
+) -> float | np.ndarray:
+    """Total vibration value ``a_v = sqrt(sum k^2 * a_w^2)`` over the axes given.
 
-    a_v: float
-
-    def __post_init__(self):
-        if self.a_v < 0:
-            raise InvalidInput("a_v must be >= 0")
-
-
-def combine(ax_rms: float, ay_rms: float, az_rms: float) -> CombinedVibration:
-    """Root-sum-square of the axis RMS values (direction factors of one)."""
-    if min(ax_rms, ay_rms, az_rms) < 0:
-        raise InvalidInput("axis RMS values must be >= 0")
-    a_v = math.sqrt(ax_rms**2 + ay_rms**2 + az_rms**2)
-    return CombinedVibration(a_v=a_v)
+    ``mean_squares`` maps ``x``, ``y`` and ``z`` to the mean square of the
+    weighted acceleration: per-axis floats or per-window arrays.
+    ``k_factors`` holds the (x, y, z) direction factors (default: one each).
+    The sum runs in the mapping's order.
+    """
+    factors = dict(zip("xyz", k_factors or (1.0, 1.0, 1.0)))
+    total = 0.0
+    for axis, mean_square in mean_squares.items():
+        if not np.all(np.greater_equal(mean_square, 0.0)):
+            raise InvalidInput("axis mean squares must be >= 0")
+        total = total + factors[axis] ** 2 * mean_square
+    return np.sqrt(total)
 
 
 class IsoClassification(NamedTuple):
@@ -306,7 +282,7 @@ def classify_iso(a_v: float) -> IsoClassification:
     ``a_v``; perception is ``below`` / ``transition`` / ``above`` relative to
     the 0.01 - 0.02 m/s^2 perception-probability range.
     """
-    if a_v < 0:
+    if not (a_v >= 0):
         raise InvalidInput("a_v must be >= 0")
     label = "NU"
     for candidate in COMFORT_LABELS:

@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from . import calibration as calib_mod
 from . import iri as iri_mod
-from . import iso2631, road, sampling, sections, signals, thresholds
+from . import iso2631, road, sampling, sections, signals
 from .config import PipelineConfig, config_hash
 from .errors import ConfigError
 from .vehicle import Scenario
@@ -130,8 +130,7 @@ def analyze(cfg: PipelineConfig, out_dir) -> dict:
     _write(out_dir, "space_signals.csv", text, outputs)
 
     if "threshold" in cfg.methods:
-        bands = thresholds.load_bands(cfg.bands_file)
-        reports, text = sections.find_critical_bands(space, bands, cfg.window_m)
+        reports, text = sections.find_critical_bands(space, cfg.bands, cfg.window_m)
         _write(out_dir, "threshold_report.csv", text, outputs)
         tables.append(sections.threshold_table(reports))
         summary["reports"]["threshold"] = reports

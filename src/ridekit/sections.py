@@ -202,8 +202,6 @@ def classify_windows_iso(
     end = min(float(r.s.values[-1]) for r in runs)
     edges = window_edges(start, end - start, l_cr)
     n_windows = len(edges) - 1
-    k_x, k_y, k_z = k_factors
-    factors = {"x": k_x, "y": k_y, "z": k_z}
 
     per_run_av = np.empty((len(runs), n_windows))
     for i, run in enumerate(runs):
@@ -212,13 +210,12 @@ def classify_windows_iso(
         counts = np.diff(idx)
         if np.any(counts < 1):
             raise InvalidInput("a window holds no samples of a run; shrink the step or grow l_cr")
-        total = np.zeros(n_windows)
+        mean_squares = {}
         for axis, result in iso2631.weight_axes(run, weightings).items():
             weighted = result.a_w.values
             cs = np.concatenate([[0.0], np.cumsum(weighted * weighted)])
-            mean_sq = (cs[idx[1:]] - cs[idx[:-1]]) / counts
-            total += (factors[axis] ** 2) * mean_sq
-        per_run_av[i] = np.sqrt(total)
+            mean_squares[axis] = (cs[idx[1:]] - cs[idx[:-1]]) / counts
+        per_run_av[i] = iso2631.combine(mean_squares, k_factors)
     a_v = per_run_av.mean(axis=0) if reduction == "mean" else per_run_av.max(axis=0)
 
     labels = [iso2631.classify_iso(value).label for value in a_v]

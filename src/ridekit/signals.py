@@ -59,15 +59,12 @@ class TimeSeries:
     dt : float
         Sample step [s], strictly positive.
     values : np.ndarray
-        Finite samples; the unit is carried as metadata only.
-    unit : str
-        SI unit string, e.g. ``"m/s"``, ``"m/s^2"``, ``"deg/s"``.
+        Finite samples in SI units (body rates in deg/s).
     """
 
     t0: float
     dt: float
     values: np.ndarray
-    unit: str = ""
 
     def __post_init__(self):
         if not (self.dt > 0):
@@ -87,8 +84,8 @@ class TimeSeries:
         """Span covered by the samples: len * dt."""
         return len(self.values) * self.dt
 
-    def with_values(self, values: np.ndarray, unit: str | None = None) -> "TimeSeries":
-        return replace(self, values=values, unit=self.unit if unit is None else unit)
+    def with_values(self, values: np.ndarray) -> "TimeSeries":
+        return replace(self, values=values)
 
 
 def _check_compatible(a: TimeSeries, b: TimeSeries) -> None:
@@ -279,17 +276,6 @@ def aggregate(runs: list[SpaceSeries], aggregator: str = "mean") -> SpaceSeries:
 # SI units, decimal point.
 # ---------------------------------------------------------------------------
 
-_UNITS = {
-    "vx": "m/s",
-    "ax": "m/s^2",
-    "ay": "m/s^2",
-    "az": "m/s^2",
-    "phi_rate": "deg/s",
-    "theta_rate": "deg/s",
-    "psi_rate": "deg/s",
-    "s": "m",
-}
-
 
 def _parse_trace_csv(path) -> dict[str, np.ndarray]:
     with open(path, "r", newline="", encoding="utf-8") as fh:
@@ -335,10 +321,7 @@ def read_reference_csv(path) -> dict[str, TimeSeries]:
     """
     cols = _parse_trace_csv(path)
     t0, dt = _time_axis(cols.pop("t"), path)
-    return {
-        name: TimeSeries(t0=t0, dt=dt, values=values, unit=_UNITS[name])
-        for name, values in cols.items()
-    }
+    return {name: TimeSeries(t0=t0, dt=dt, values=values) for name, values in cols.items()}
 
 
 def read_response_csv(path) -> VehicleResponse:

@@ -75,12 +75,12 @@ def load_bands(path=None) -> dict[tuple[str, str], ThresholdBand]:
     rows = [line for line in text.splitlines() if line.strip() and not line.startswith("#")]
     bands = {}
     for record in csv.DictReader(rows):
-        band = ThresholdBand(
-            axis=record["axis"].strip(),
-            style=record["style"].strip(),
-            lower=float(record["lower"]),
-            upper=float(record["upper"]),
-        )
+        try:
+            axis, style = record["axis"].strip(), record["style"].strip()
+            lower, upper = float(record["lower"]), float(record["upper"])
+        except (KeyError, TypeError, AttributeError, ValueError):
+            raise InvalidInput(f"band table row {record} needs axis, style and numeric lower and upper") from None
+        band = ThresholdBand(axis=axis, style=style, lower=lower, upper=upper)
         bands[(band.axis, band.style)] = band
     missing = [(a, s) for a in AXES for s in STYLES if (a, s) not in bands]
     if missing:

@@ -440,18 +440,18 @@ def corner_dynamics(
     theta_rate = np.degrees((zdot_front - zdot_rear) / geometry.wheelbase)
     phi_rate = np.degrees((zdot_left - zdot_right) / geometry.track_width)
 
-    def series(values: np.ndarray, unit: str) -> TimeSeries:
-        return TimeSeries(0.0, plan.dt, values, unit)
+    def series(values: np.ndarray) -> TimeSeries:
+        return TimeSeries(0.0, plan.dt, values)
 
     return VehicleResponse(
-        v_x=series(plan.v_x, "m/s"),
-        a_x=series(plan.a_x, "m/s^2"),
-        a_y=series(plan.a_y, "m/s^2"),
-        a_z=series(a_z, "m/s^2"),
-        phi_rate=series(phi_rate, "deg/s"),
-        theta_rate=series(theta_rate, "deg/s"),
-        psi_rate=series(plan.psi_rate, "deg/s"),
-        s=series(plan.s, "m"),
+        v_x=series(plan.v_x),
+        a_x=series(plan.a_x),
+        a_y=series(plan.a_y),
+        a_z=series(a_z),
+        phi_rate=series(phi_rate),
+        theta_rate=series(theta_rate),
+        psi_rate=series(plan.psi_rate),
+        s=series(plan.s),
         warnings=plan.warnings,
     )
 

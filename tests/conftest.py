@@ -106,14 +106,14 @@ def constant_speed_response(v=10.0, dt=0.1, n=51, channel_values=None):
     t = dt * np.arange(n)
     zeros = np.zeros(n)
     az = np.asarray(channel_values if channel_values is not None else zeros, dtype=float)
-    mk = lambda vals, unit: TimeSeries(0.0, dt, vals, unit)  # noqa: E731
+    mk = lambda vals: TimeSeries(0.0, dt, vals)  # noqa: E731
     return VehicleResponse(
-        v_x=mk(np.full(n, v), "m/s"),
-        a_x=mk(zeros, "m/s^2"),
-        a_y=mk(zeros, "m/s^2"),
-        a_z=mk(az, "m/s^2"),
-        phi_rate=mk(zeros, "deg/s"),
-        theta_rate=mk(zeros, "deg/s"),
-        psi_rate=mk(zeros, "deg/s"),
-        s=mk(v * t, "m"),
+        v_x=mk(np.full(n, v)),
+        a_x=mk(zeros),
+        a_y=mk(zeros),
+        a_z=mk(az),
+        phi_rate=mk(zeros),
+        theta_rate=mk(zeros),
+        psi_rate=mk(zeros),
+        s=mk(v * t),
     )

@@ -86,11 +86,11 @@ def test_criterion_02_rms_and_combination_identities():
     fs, freq, amplitude = 200.0, 2.0, 3.0
     n = int(100 * fs / freq)  # 100 cycles
     t = np.arange(n) / fs
-    unity = iso2631.FilterSpec(weighting_id="unity", stage_enabled={})
+    unity = iso2631.FilterSpec(weighting_id="unity")
     out = iso2631.weight_signal(TimeSeries(0.0, 1 / fs, amplitude * np.sin(2 * np.pi * freq * t)), unity)
     assert out.a_w_rms == pytest.approx(amplitude / np.sqrt(2.0), rel=0.01)
 
-    assert iso2631.combine(3.0, 4.0, 0.0).a_v == 5.0
+    assert iso2631.combine({"x": 9.0, "y": 16.0, "z": 0.0}) == 5.0
 
     boundary_labels = {
         0.315: "LU",

@@ -129,7 +129,7 @@ class TestResidual:
         noisy = dict(
             (name, reference.channel(name)) for name in ("vx", "ax", "ay", "phi_rate", "theta_rate", "psi_rate")
         )
-        noisy["az"] = TimeSeries(az.t0, az.dt, az.values + rng.normal(0.0, sigma, len(az)), az.unit)
+        noisy["az"] = TimeSeries(az.t0, az.dt, az.values + rng.normal(0.0, sigma, len(az)))
         residual = evaluate_residual(front, scenario, geometry, noisy, dt=1e-3, rear_params=rear)
         assert residual.channel_nrmse["az"] == pytest.approx(sigma / spread, rel=0.10)
 

@@ -25,17 +25,17 @@ def analog_magnitude(spec: FilterSpec, freq: np.ndarray) -> np.ndarray:
     """Independent continuous-domain evaluation of the four stage equations."""
     p = 1j * 2 * np.pi * np.asarray(freq, dtype=float)
     out = np.ones_like(p)
-    if spec.stage_enabled["h"]:
+    if spec.f1 is not None:
         w1 = 2 * np.pi * spec.f1
         out = out * 1.0 / (1.0 + SQ2 * w1 / p + (w1 / p) ** 2)
-    if spec.stage_enabled["l"]:
+    if spec.f2 is not None:
         w2 = 2 * np.pi * spec.f2
         out = out * 1.0 / (1.0 + SQ2 * p / w2 + (p / w2) ** 2)
-    if spec.stage_enabled["t"]:
+    if spec.f4 is not None:
         w4 = 2 * np.pi * spec.f4
         num = 1.0 if spec.f3 is None else 1.0 + p / (2 * np.pi * spec.f3)
         out = out * num / (1.0 + p / (spec.q4 * w4) + (p / w4) ** 2)
-    if spec.stage_enabled["s"]:
+    if spec.f5 is not None:
         w5, w6 = 2 * np.pi * spec.f5, 2 * np.pi * spec.f6
         num = 1.0 + p / (spec.q5 * w5) + (p / w5) ** 2
         den = 1.0 + p / (spec.q6 * w6) + (p / w6) ** 2
@@ -55,12 +55,12 @@ def digital_magnitude(sos: np.ndarray, fs: float, freq: np.ndarray) -> np.ndarra
 def sine(freq: float, fs: float, cycles: float, amplitude: float = 1.0) -> TimeSeries:
     n = int(round(cycles * fs / freq))
     t = np.arange(n) / fs
-    return TimeSeries(0.0, 1.0 / fs, amplitude * np.sin(2 * np.pi * freq * t), "m/s^2")
+    return TimeSeries(0.0, 1.0 / fs, amplitude * np.sin(2 * np.pi * freq * t))
 
 
 class TestDesign:
     def test_all_stages_disabled_is_unity(self):
-        spec = FilterSpec(weighting_id="unity", stage_enabled={})
+        spec = FilterSpec(weighting_id="unity")
         sos = design_filter(spec, 100.0)
         rng = np.random.default_rng(0)
         x = TimeSeries(0.0, 0.01, rng.normal(size=256))
@@ -97,6 +97,23 @@ class TestDesign:
             sos = design_filter(load_weighting(wid), 1000.0)
             assert sos.shape[1] == 6
 
+    @pytest.mark.parametrize(
+        "corners",
+        [{"f4": 2.0}, {"f3": 2.0}, {"f5": 2.37, "q5": 0.91, "f6": 3.35}, {"f1": 0.0}, {"f4": 2.0, "q4": float("nan")}],
+        ids=["transition_without_q4", "f3_alone", "step_without_q6", "zero_corner", "nan_q4"],
+    )
+    def test_partly_given_stage_rejected(self, corners):
+        with pytest.raises(InvalidInput, match="stage"):
+            FilterSpec("t", **corners)
+
+    def test_stages_follow_given_corners(self):
+        k = design_filter(load_weighting("k"), 1000.0)
+        assert k.shape == (4, 6)
+        assert design_filter(load_weighting("j"), 1000.0).shape == (3, 6)  # no step corners
+        only_high = design_filter(FilterSpec("h", f1=0.4), 1000.0)
+        only_step = design_filter(FilterSpec("s", f5=2.37, q5=0.91, f6=3.35, q6=0.91), 1000.0)
+        assert np.array_equal(only_high, k[:1]) and np.array_equal(only_step, k[3:])
+
     def test_unknown_weighting(self):
         with pytest.raises(InvalidInput):
             load_weighting("zz")
@@ -120,7 +137,7 @@ class TestWeightSignal:
         assert np.all(out.a_w.values == 0.0)
 
     def test_sine_rms_identity_unity_filter(self):
-        spec = FilterSpec(weighting_id="unity", stage_enabled={})
+        spec = FilterSpec(weighting_id="unity")
         signal = sine(2.0, 200.0, cycles=100, amplitude=3.0)
         out = weight_signal(signal, spec)
         assert out.a_w_rms == pytest.approx(3.0 / SQ2, rel=0.01)
@@ -188,18 +205,34 @@ class TestWeightSignal:
 
 class TestCombine:
     def test_zero(self):
-        assert combine(0.0, 0.0, 0.0).a_v == 0.0
+        assert combine({"x": 0.0, "y": 0.0, "z": 0.0}) == 0.0
 
     def test_pythagorean(self):
-        assert combine(3.0, 4.0, 0.0).a_v == pytest.approx(5.0)
+        assert combine({"x": 9.0, "y": 16.0, "z": 0.0}) == pytest.approx(5.0)
 
     def test_monotone_and_symmetric(self):
-        assert combine(1.0, 2.0, 3.0).a_v == pytest.approx(combine(3.0, 2.0, 1.0).a_v)
-        assert combine(1.0, 2.0, 3.1).a_v > combine(1.0, 2.0, 3.0).a_v
+        assert combine({"x": 1.0, "y": 4.0, "z": 9.0}) == pytest.approx(combine({"x": 9.0, "y": 4.0, "z": 1.0}))
+        assert combine({"x": 1.0, "y": 4.0, "z": 9.61}) > combine({"x": 1.0, "y": 4.0, "z": 9.0})
+
+    def test_direction_factors_scale_their_axis(self):
+        assert combine({"x": 1.0, "z": 4.0}, (1.4, 1.4, 0.5)) == pytest.approx(math.sqrt(1.96 + 1.0))
+        assert combine({"y": 4.0}, (1.0, 0.0, 1.0)) == 0.0
+
+    def test_per_window_arrays_match_scalars(self):
+        ms = {"x": np.array([0.1, 0.0, 2.0]), "y": np.array([0.3, 0.2, 0.0]), "z": np.array([1.0, 0.5, 0.7])}
+        k = (1.4, 1.4, 1.0)
+        windows = combine(ms, k)
+        for w in range(3):
+            assert windows[w] == combine({axis: float(v[w]) for axis, v in ms.items()}, k)
 
     def test_negative_rejected(self):
         with pytest.raises(InvalidInput):
-            combine(-1.0, 0.0, 0.0)
+            combine({"x": -1.0, "y": 0.0, "z": 0.0})
+
+    @pytest.mark.parametrize("bad", [float("nan"), np.array([0.5, -1e-3])], ids=["nan", "negative_window"])
+    def test_nan_or_negative_window_rejected(self, bad):
+        with pytest.raises(InvalidInput):
+            combine({"x": bad, "y": 0.0, "z": 0.0})
 
 
 class TestClassify:
@@ -238,3 +271,8 @@ class TestClassify:
     def test_negative_rejected(self):
         with pytest.raises(InvalidInput):
             classify_iso(-0.1)
+
+    def test_nan_rejected(self):
+        # NaN fails every lower-bound comparison, so unchecked it would read NU
+        with pytest.raises(InvalidInput):
+            classify_iso(float("nan"))

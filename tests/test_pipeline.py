@@ -1,10 +1,11 @@
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
 import yaml
 
-from ridekit import iso2631, road
+from ridekit import iso2631, road, thresholds
 from ridekit.cli import main
 from ridekit.config import load_config
 from ridekit.errors import ConfigError
@@ -78,6 +79,16 @@ class TestConfig:
         cfg = load_config(write_config(tmp_path / "c.yaml"), seed=99)
         assert cfg.seed == 99
 
+    def test_band_table_loaded_once_with_the_config(self, tmp_path):
+        shipped = (resources.files("ridekit.data") / "comfort_bands_v1.csv").read_text(encoding="utf-8")
+        bands_path = tmp_path / "bands.csv"
+        bands_path.write_text(shipped.replace("z,PT,-0.10,0.10", "z,PT,-0.05,0.05"))
+        analysis = {"window_m": 5.0, "ds": 0.1, "bands_file": str(bands_path)}
+        cfg = load_config(write_config(tmp_path / "c.yaml", analysis=analysis))
+        assert cfg.bands == thresholds.load_bands(bands_path) != thresholds.load_bands()
+        assert cfg.bands[("z", "PT")].upper == 0.05
+        assert load_config(write_config(tmp_path / "c.yaml", analysis=analysis), methods=("iso",)).bands is None
+
     @pytest.mark.parametrize(
         "section, entry",
         [
@@ -99,17 +110,26 @@ class TestConfig:
             ("road", {"synthetic": {"length": 200.0, "step": 0.1, "roughness_class": "B", "offset_step": 0.0}}),
             ("road", {"synthetic": {"length": 200.0, "step": 0.1, "roughness_class": "B", "lateral_span": 0.0}}),
             ("road", {"synthetic": {"length": 200.0, "step": 0.1, "roughness_class": "B", "lateral_span": float("inf")}}),
+            ("analysis", {"bands_file": "bands_incomplete.csv"}),
+            ("analysis", {"bands_file": "bands_sign.csv"}),
+            ("analysis", {"bands_file": "bands_columns.csv"}),
+            ("analysis", {"k_factors": [float("nan"), 1.0, 1.0]}),
+            ("analysis", {"k_factors": [-2.0, 1.0, 1.0]}),
         ],
         ids=[
             "aggregator", "iso_reduction", "ds", "weightings", "dt", "segment_m", "speed_kmh", "window_below_ds",
             "segment_below_step", "step", "iri_step", "segment_beyond_road", "one_interpolated_segment",
             "iri_step_grid_file", "window_beyond_road", "offset_step", "lateral_span",
-            "lateral_span_inf",
+            "lateral_span_inf", "bands_incomplete", "bands_sign", "bands_columns", "k_nan", "k_negative",
         ],
     )
     def test_bad_setting_fails_before_any_output(self, tmp_path, monkeypatch, capsys, section, entry):
         monkeypatch.chdir(tmp_path)
         road.save_grid("coarse_grid.txt", road.straight_grid(np.zeros(401), 0.5))
+        shipped = (resources.files("ridekit.data") / "comfort_bands_v1.csv").read_text(encoding="utf-8")
+        (tmp_path / "bands_incomplete.csv").write_text("axis,style,lower,upper\nx,PT,-0.9,0.9\n")
+        (tmp_path / "bands_sign.csv").write_text(shipped.replace("x,PT,-0.90,", "x,PT,0.00,"))
+        (tmp_path / "bands_columns.csv").write_text(shipped.replace("lower,upper", "low,high"))
         path = write_config(tmp_path / "c.yaml")
         doc = yaml.safe_load(path.read_text())
         doc[section] = {key: value for key, value in {**doc[section], **entry}.items() if value is not None}

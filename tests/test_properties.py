@@ -51,17 +51,17 @@ def test_iri_windows_count_every_window(seed, n, l_cr, speed_kmh):
 
 
 def _response(rng, n, dt, step, start, scale):
-    t = TimeSeries(0.0, dt, np.zeros(n), "-")
-    accel = {name: t.with_values(scale * rng.standard_normal(n), "m/s^2") for name in ("ax", "ay", "az")}
+    t = TimeSeries(0.0, dt, np.zeros(n))
+    accel = {name: t.with_values(scale * rng.standard_normal(n)) for name in ("ax", "ay", "az")}
     return VehicleResponse(
-        v_x=t.with_values(np.full(n, step / dt), "m/s"),
+        v_x=t.with_values(np.full(n, step / dt)),
         a_x=accel["ax"],
         a_y=accel["ay"],
         a_z=accel["az"],
-        phi_rate=t.with_values(np.zeros(n), "deg/s"),
-        theta_rate=t.with_values(np.zeros(n), "deg/s"),
-        psi_rate=t.with_values(np.zeros(n), "deg/s"),
-        s=t.with_values(start + step * np.arange(n), "m"),
+        phi_rate=t.with_values(np.zeros(n)),
+        theta_rate=t.with_values(np.zeros(n)),
+        psi_rate=t.with_values(np.zeros(n)),
+        s=t.with_values(start + step * np.arange(n)),
     )
 
 
