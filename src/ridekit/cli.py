@@ -93,22 +93,12 @@ def _cmd_calibrate(args) -> int:
 
 
 def _read_profile_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#") or line.lower().startswith("station"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise InvalidInput(f"{path}: line {lineno}: expected 'station,elevation'")
-            try:
-                rows.append((float(parts[0]), float(parts[1])))
-            except ValueError:
-                raise InvalidInput(f"{path}: line {lineno}: non-numeric value") from None
-    if len(rows) < 2:
+        # a "station,elevation" header is blanked, so each row keeps its line number
+        lines = ["" if line.lstrip().lower().startswith("station") else line for line in fh]
+    data = signals.parse_rows(lines, 1, 2, ",", lambda msg, line: InvalidInput(f"{path}: line {line}: {msg}"))
+    if len(data) < 2:
         raise InvalidInput(f"{path}: need at least two profile samples")
-    data = np.asarray(rows)
     return data[:, 0], data[:, 1]
 
 

@@ -18,7 +18,7 @@ from scipy.interpolate import RectBivariateSpline, make_smoothing_spline
 from scipy.ndimage import median_filter, uniform_filter
 
 from .errors import DomainBoundsError, GridParseError, InvalidInput
-from .signals import uniform_grid
+from .signals import is_data_line, parse_rows, uniform_grid
 
 __all__ = [
     "ReferenceLine",
@@ -215,49 +215,38 @@ def load_grid(path) -> RoadGrid:
     elevation.  The replacement count is reported on the returned grid.
     """
     header: dict[str, float] = {}
-    rows: list[list[float]] = []
-    row_lines: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
-    lineno = 0
     n_offsets = None
-    for raw in lines:
-        lineno += 1
+    for lineno, raw in enumerate(lines, start=1):
+        if not is_data_line(raw):
+            continue
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if n_offsets is None:
-            if "=" not in line:
-                raise GridParseError("data before complete header", line=lineno)
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in _HEADER_KEYS:
-                raise GridParseError(f"unknown header {key!r}", line=lineno)
-            try:
-                header[key] = float(value)
-            except ValueError:
-                raise GridParseError(f"non-numeric header value for {key!r}", line=lineno) from None
-            if len(header) == len(_HEADER_KEYS):
-                n_offsets = int(header["n_offsets"])
-                if n_offsets < 2:
-                    raise GridParseError("n_offsets must be >= 2", line=lineno)
-            continue
-        tokens = line.split()
-        if len(tokens) != 3 + n_offsets:
-            raise GridParseError(f"expected {3 + n_offsets} fields, got {len(tokens)}", line=lineno)
+        if "=" not in line:
+            raise GridParseError("data before complete header", line=lineno)
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in _HEADER_KEYS:
+            raise GridParseError(f"unknown header {key!r}", line=lineno)
         try:
-            rows.append([float(tok) for tok in tokens])
+            header[key] = float(value)
         except ValueError:
-            raise GridParseError("non-numeric cell", line=lineno) from None
-        row_lines.append(lineno)
+            raise GridParseError(f"non-numeric header value for {key!r}", line=lineno) from None
+        if len(header) == len(_HEADER_KEYS):
+            n_offsets = int(header["n_offsets"])
+            if n_offsets < 2:
+                raise GridParseError("n_offsets must be >= 2", line=lineno)
+            break
     if n_offsets is None:
-        raise GridParseError("missing header", line=lineno or 1)
-    if len(rows) < 2:
-        raise GridParseError("need at least two stations", line=lineno)
-    data = np.asarray(rows, dtype=float)
+        raise GridParseError("missing header", line=len(lines) or 1)
+    body = lines[lineno:]
+    data = parse_rows(body, lineno + 1, 3 + n_offsets, None, GridParseError)
+    if len(data) < 2:
+        raise GridParseError("need at least two stations", line=len(lines))
     stations = data[:, 0]
     if np.any(np.diff(stations) <= 0):
         bad = int(np.flatnonzero(np.diff(stations) <= 0)[0])
+        row_lines = [n for n, text in enumerate(body, start=lineno + 1) if is_data_line(text)]
         raise GridParseError("stations not strictly increasing", line=row_lines[bad + 1])
     step = header["station_step"]
     if np.max(np.abs(np.diff(stations) - step)) > 1e-6 * step:

@@ -9,7 +9,6 @@ simulation run.
 
 from __future__ import annotations
 
-import csv
 import io
 from dataclasses import dataclass
 
@@ -119,14 +118,6 @@ class SamplePlan:
         for row in self.matrix:
             buf.write(",".join(repr(float(x)) for x in row) + "\n")
         return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, path, seed: int = 0) -> "SamplePlan":
-        with open(path, "r", newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            names = tuple(next(reader))
-            rows = [[float(x) for x in row] for row in reader if row]
-        return cls(names=names, matrix=np.asarray(rows), seed=seed)
 
 
 def lhs(distributions: list[InputDistribution], n: int, seed: int) -> SamplePlan:

@@ -8,7 +8,6 @@ containers defined here: :class:`TimeSeries` for a single channel, a
 
 from __future__ import annotations
 
-import csv
 import io
 from dataclasses import dataclass, field, replace
 
@@ -27,6 +26,8 @@ __all__ = [
     "to_space",
     "aggregate",
     "uniform_grid",
+    "is_data_line",
+    "parse_rows",
     "read_response_csv",
     "read_reference_csv",
     "write_response_csv",
@@ -272,37 +273,60 @@ def aggregate(runs: list[SpaceSeries], aggregator: str = "mean") -> SpaceSeries:
 
 
 # ---------------------------------------------------------------------------
-# Trace CSV interface: header "t,vx,ax,ay,az,phi_rate,theta_rate,psi_rate,s",
-# SI units, decimal point.
+# Text input.  The numeric rows of trace CSVs, profile CSVs and grid files all
+# go through parse_rows.  Trace CSV header
+# "t,vx,ax,ay,az,phi_rate,theta_rate,psi_rate,s", SI units, decimal point.
 # ---------------------------------------------------------------------------
 
 
-def _parse_trace_csv(path) -> dict[str, np.ndarray]:
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+def is_data_line(line: str) -> bool:
+    """Whether :func:`parse_rows` reads ``line``: it is neither blank nor a ``#`` comment."""
+    return line.lstrip()[:1] not in ("", "#")
+
+
+def parse_rows(lines: list[str], first_line: int, width: int, delimiter: str | None, error) -> np.ndarray:
+    """The data lines among ``lines`` as an ``(n, width)`` array, from one ``np.loadtxt`` call.
+
+    ``lines[0]`` is line ``first_line`` of the file.  Fields are split at
+    ``delimiter`` (None: runs of whitespace).  The first line with other than
+    ``width`` fields or a non-number raises ``error(message, line_number)``.
+    """
+    rows = [line for line in lines if is_data_line(line)]
+    if not rows:
+        return np.empty((0, width))
+    try:
+        data = np.loadtxt(rows, delimiter=delimiter, comments=None, ndmin=2)
+        if data.shape[1] == width:
+            return data
+    except ValueError:
+        pass
+    # numpy's error text counts rows inconsistently: find the bad line here
+    for lineno, line in enumerate(lines, start=first_line):
+        if not is_data_line(line):
+            continue
+        fields = line.split(delimiter)
+        if len(fields) != width:
+            raise error(f"expected {width} fields, got {len(fields)}", lineno)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise InvalidInput(f"{path}: empty trace file") from None
-        header = [h.strip() for h in header]
-        if header[0] != "t":
-            raise InvalidInput(f"{path}: first column must be 't', got {header[0]!r}")
-        unknown = [h for h in header[1:] if h not in CHANNEL_NAMES]
-        if unknown:
-            raise InvalidInput(f"{path}: unknown channel column(s) {unknown}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise InvalidInput(f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}")
-            try:
-                rows.append([float(x) for x in row])
-            except ValueError:
-                raise InvalidInput(f"{path}: line {lineno}: non-numeric value") from None
-    if len(rows) < 2:
+            np.loadtxt([line], delimiter=delimiter, comments=None)
+        except ValueError:
+            raise error("non-numeric value", lineno) from None
+
+
+def _parse_trace_csv(path) -> dict[str, np.ndarray]:
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.readlines()
+    if not lines:
+        raise InvalidInput(f"{path}: empty trace file")
+    header = [h.strip() for h in lines[0].split(",")]
+    if header[0] != "t":
+        raise InvalidInput(f"{path}: first column must be 't', got {header[0]!r}")
+    unknown = [h for h in header[1:] if h not in CHANNEL_NAMES]
+    if unknown:
+        raise InvalidInput(f"{path}: unknown channel column(s) {unknown}")
+    data = parse_rows(lines[1:], 2, len(header), ",", lambda msg, line: InvalidInput(f"{path}: line {line}: {msg}"))
+    if len(data) < 2:
         raise InvalidInput(f"{path}: need at least 2 samples")
-    data = np.asarray(rows, dtype=float)
     return {name: data[:, i] for i, name in enumerate(header)}
 
 

@@ -444,6 +444,23 @@ class TestSmallCommands:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "s_start,iri,label"
         assert len(lines) == 3  # 119.9 m -> 2 segments
+        # comment lines, blank lines and no header read the same
+        bare = tmp_path / "bare.csv"
+        bare.write_text("# site\n" + "\n".join(f"{a},{b}" for a, b in zip(s, z)) + "\n\n  # end\n")
+        assert main(["iri", "--profile", str(bare), "--segment", "50", "--out", str(tmp_path / "bare_iri.csv")]) == 0
+        assert (tmp_path / "bare_iri.csv").read_text() == out.read_text()
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [("0.2", "line 4: expected 2 fields, got 1"), ("0.2,x", "line 4: non-numeric value")],
+        ids=["short", "non_numeric"],
+    )
+    def test_iri_cli_bad_row_names_its_line(self, tmp_path, capsys, row, message):
+        profile = tmp_path / "profile.csv"
+        profile.write_text(f"station,elevation\n0.0,0.0\n0.1,0.0\n{row}\n0.3,0.0\n")
+        assert main(["iri", "--profile", str(profile), "--segment", "0.1"]) == 2
+        err = capsys.readouterr().err
+        assert "error [InvalidInput]" in err and message in err
 
     def test_iri_cli_zero_classify_speed_fails(self, tmp_path, capsys):
         profile = tmp_path / "profile.csv"

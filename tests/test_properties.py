@@ -1,16 +1,28 @@
-"""Property tests of the method layer shared by the pipeline and the CLI.
+"""Property tests of the method layer and the trace reader shared by the pipeline and the CLI.
 
 Grid steps and window lengths are powers of two, so ``floor(extent /
 window)`` is exact and the expected window count needs no tolerance.  ISO
 windows cover the span of positions all runs share.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ridekit import iso2631, sections, thresholds
-from ridekit.signals import SpaceSeries, TimeSeries, VehicleResponse, aggregate
+from ridekit.signals import (
+    CHANNEL_NAMES,
+    SpaceSeries,
+    TimeSeries,
+    VehicleResponse,
+    aggregate,
+    read_response_csv,
+    write_response_csv,
+)
 
 DS = 0.125
 seeds = st.integers(0, 2**32 - 1)
@@ -120,3 +132,24 @@ def test_aggregate_commutes_with_run_order(seed, n_runs, n, data):
     assert (mean.s0, len(mean)) == (mean_shuffled.s0, len(mean_shuffled))
     scale = max(np.max(np.abs(r.values)) for r in runs)
     assert np.max(np.abs(mean.values - mean_shuffled.values)) <= 1e-15 * scale
+
+
+# any finite float64, with the edge values drawn often: signed zeros,
+# subnormals and magnitudes near the largest float
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.225073858507201e-308, 1e308, -1.7976931348623157e308]
+finite_floats = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_FLOATS))
+
+
+@settings(max_examples=60, deadline=None)
+@given(columns=arrays(np.float64, st.tuples(st.integers(2, 40), st.just(len(CHANNEL_NAMES))), elements=finite_floats))
+def test_trace_reader_returns_written_floats_bit_for_bit(columns):
+    # The trace is written with repr, which float() reads back exactly.
+    columns[:, -1] = np.sort(np.abs(columns[:, -1]))  # s must not decrease
+    t = TimeSeries(0.0, 0.125, np.zeros(len(columns)))
+    run = VehicleResponse(*(t.with_values(columns[:, k]) for k in range(len(CHANNEL_NAMES))))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        write_response_csv(path, run)
+        back = read_response_csv(path)
+    for k, name in enumerate(CHANNEL_NAMES):
+        assert back.channel(name).values.tobytes() == columns[:, k].tobytes(), name

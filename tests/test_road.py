@@ -108,15 +108,17 @@ class TestLoadGrid:
         path = tmp_path / "ragged.txt"
         text = "station_step=1.0\noffset_start=0.0\noffset_step=1.0\nn_offsets=2\n0 0 0 1 2\n1 0 0 1\n"
         path.write_text(text)
-        with pytest.raises(GridParseError, match="line 6"):
+        with pytest.raises(GridParseError, match="line 6") as err:
             load_grid(path)
+        assert err.value.line == 6
 
     def test_non_numeric_cell(self, tmp_path):
         path = tmp_path / "nan.txt"
         text = "station_step=1.0\noffset_start=0.0\noffset_step=1.0\nn_offsets=2\n0 0 0 1 1\n1 0 0 x 1\n"
         path.write_text(text)
-        with pytest.raises(GridParseError, match="line 6"):
+        with pytest.raises(GridParseError, match="line 6") as err:
             load_grid(path)
+        assert err.value.line == 6
 
     def test_single_offset_rejected(self, tmp_path):
         # both wheels of a vehicle would fall outside a one-column grid

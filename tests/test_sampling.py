@@ -98,9 +98,8 @@ class TestLhs:
         plan = lhs(default_input_distributions(), 16, seed=2)
         path = tmp_path / "plan.csv"
         path.write_text(plan.to_csv_text())
-        back = SamplePlan.from_csv(path, seed=2)
-        assert back.names == plan.names
-        assert np.array_equal(back.matrix, plan.matrix)
+        assert path.read_text().splitlines()[0] == ",".join(plan.names)
+        assert np.array_equal(np.loadtxt(path, delimiter=",", skiprows=1), plan.matrix)
 
 
 @pytest.fixture(scope="module")

@@ -216,6 +216,10 @@ class TestTraceCsv:
         for name, channel in class_c_run.channels().items():
             assert np.array_equal(back.channel(name).values, channel.values), name
         assert back.dt == class_c_run.dt
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        for name, channel in read_response_csv(crlf).channels().items():
+            assert channel.values.tobytes() == back.channel(name).values.tobytes(), name
 
     def test_reference_subset(self, tmp_path):
         path = tmp_path / "ref.csv"
@@ -230,8 +234,17 @@ class TestTraceCsv:
         with pytest.raises(InvalidInput, match="missing channel"):
             read_response_csv(path)
 
+    def test_header_must_be_the_first_line(self, tmp_path):
+        path = tmp_path / "ref.csv"
+        path.write_text("\nt,vx\n0.0,10.0\n0.1,10.0\n")
+        with pytest.raises(InvalidInput, match="first column must be 't', got ''"):
+            read_reference_csv(path)
+
     def test_non_numeric_line_reported(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t,vx,ax,ay,az,phi_rate,theta_rate,psi_rate,s\n0,1,2,3,4,5,6,7,8\n0.1,oops,2,3,4,5,6,7,8\n")
-        with pytest.raises(InvalidInput, match="line 3"):
+        with pytest.raises(InvalidInput, match="line 3: non-numeric value"):
+            read_response_csv(path)
+        path.write_text("t,vx,ax,ay,az,phi_rate,theta_rate,psi_rate,s\n0,1,2,3,4,5,6,7,8\n\n0.1,1,2,3,4,5,6,7\n")
+        with pytest.raises(InvalidInput, match="line 4: expected 9 fields, got 8"):
             read_response_csv(path)
