@@ -42,6 +42,35 @@ def half_grid_input(samples: np.ndarray) -> np.ndarray:
     return out
 
 
+#: Rows per block of a long per-step product.  Above a size limit OpenBLAS
+#: splits a product over worker threads, which spin on the other core after
+#: the call, so the code that follows, BLAS or not, costs about twice its CPU
+#: time; one threaded (45k, 8) @ (8, 4) product took 16-25 ms on a busy
+#: 2-core host against 0.6 ms on one thread.  There OpenBLAS 0.3.31 first
+#: threaded these products at 31k rows (8 x 4 gemm), 56k (2 x 8 gemm) and 109k
+#: (gemv, 4 columns).  8192 rows of at most 32 multiply-adds also meet the
+#: gemm limit read from its source, M*N*K <= 4*65536, and keep the calls few,
+#: each costing a few microseconds.  As a multiple of every kernel unroll,
+#: each row meets the same kernel code as in the whole product.
+_BLOCK_ROWS = 8192
+
+
+def _blocked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for a long 2-D ``a``, one block of ``_BLOCK_ROWS`` rows at a time.
+
+    Bit-identical to ``a @ b``: blocks start at multiples of the block size,
+    and a last row is never left alone (numpy would hand a one-row product to
+    gemv or dot, whose rounding differs from gemm's), so it joins the block
+    before it.
+    """
+    out = np.empty(a.shape[:1] + b.shape[1:], dtype=np.result_type(a, b))
+    start = 0
+    for stop in [*range(_BLOCK_ROWS, len(a) - 1, _BLOCK_ROWS), len(a)]:
+        np.matmul(a[start:stop], b, out=out[start:stop])
+        start = stop
+    return out
+
+
 def _interleaved(a: np.ndarray) -> np.ndarray:
     """Complex (r, c) array as the float (r, 2c) array of its real and imaginary parts."""
     return np.ascontiguousarray(a).view(float)
@@ -115,14 +144,18 @@ def rk4_lti(A, B, u_half: np.ndarray, dt: float, x0) -> np.ndarray:
         gm = dt * (2 * I / 3 + M @ (I / 3 + M / 12)) @ qb
         g1 = dt / 6 * qb
         # The long complex products run as real ones on interleaved parts.
-        w = u[0:-2:2] @ _interleaved(g0.T) + u[1:-1:2] @ _interleaved(gm.T) + u[2::2] @ _interleaved(g1.T)
+        w = (
+            _blocked_matmul(u[0:-2:2], _interleaved(g0.T))
+            + _blocked_matmul(u[1:-1:2], _interleaved(gm.T))
+            + _blocked_matmul(u[2::2], _interleaved(g1.T))
+        )
         w = w.view(complex)  # (N, n) modal inputs
         ys = np.empty((n_steps + 1, n), dtype=complex)
         ys[0] = Q.conj().T @ x0
         for i in reversed(range(n)):  # mode i is driven by the modes after it
             drive = w[:, i] + sum(phi[i, j] * ys[:-1, j] for j in range(i + 1, n))
             ys[1:, i], _ = lfilter([1.0], [1.0, -phi[i, i]], drive, zi=[phi[i, i] * ys[0, i]])
-        states = ys.view(float) @ _interleaved(Q.conj()).T  # Re(ys @ Q.T)
+        states = _blocked_matmul(ys.view(float), _interleaved(Q.conj()).T)  # Re(ys @ Q.T)
     states[0] = x0
     if not np.all(np.isfinite(states)) or np.max(np.abs(states)) > 1e9:
         raise NumericFailure("state integration diverged")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidInput, NumericFailure
-from .integrators import half_grid_input, rk4_lti
+from .integrators import _blocked_matmul, half_grid_input, rk4_lti
 from .road import RoadGrid, SmoothingParams, wheel_track_profile
 from .signals import TimeSeries, VehicleResponse, uniform_grid
 
@@ -415,23 +415,21 @@ def corner_dynamics(
     front_sys = corner_system(params)
     rear_sys = corner_system(rear)
 
-    def corner(wheel: tuple[np.ndarray, np.ndarray], system) -> np.ndarray:
+    def corner(wheel: tuple[np.ndarray, np.ndarray], system) -> tuple[np.ndarray, np.ndarray]:
+        """States of one corner and its sprung-mass acceleration ``A[1] . x``."""
         u, x0 = wheel
-        return rk4_lti(system[0], system[1], u, plan.dt, x0)
+        states = rk4_lti(system[0], system[1], u, plan.dt, x0)
+        return states, _blocked_matmul(states, system[0][1])
 
     fl_in, fr_in, rl_in, rr_in = plan.wheels
-    fl = corner(fl_in, front_sys)
-    rl = corner(rl_in, rear_sys)
+    fl, az_fl = corner(fl_in, front_sys)
+    rl, az_rl = corner(rl_in, rear_sys)
     if plan.same_sides:
-        fr, rr = fl, rl
+        fr, az_fr, rr, az_rr = fl, az_fl, rl, az_rl
     else:
-        fr = corner(fr_in, front_sys)
-        rr = corner(rr_in, rear_sys)
-
-    a_front, _ = front_sys
-    a_rear, _ = rear_sys
-    az_corners = (fl @ a_front[1], fr @ a_front[1], rl @ a_rear[1], rr @ a_rear[1])
-    a_z = sum(az_corners) / 4.0
+        fr, az_fr = corner(fr_in, front_sys)
+        rr, az_rr = corner(rr_in, rear_sys)
+    a_z = sum((az_fl, az_fr, az_rl, az_rr)) / 4.0
 
     zdot_front = 0.5 * (fl[:, 1] + fr[:, 1])
     zdot_rear = 0.5 * (rl[:, 1] + rr[:, 1])

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from ridekit.calibration import CALIBRATION_PARAMETERS, apply_parameters
 from ridekit.errors import NumericFailure
-from ridekit.integrators import half_grid_input, rk4_lti, rk4_lti_loop
+from ridekit.integrators import _BLOCK_ROWS, _blocked_matmul, half_grid_input, rk4_lti, rk4_lti_loop
 from ridekit.iri import GoldenCarParams
 from ridekit.vehicle import MAX_DT, corner_system, default_car
 
@@ -40,6 +40,17 @@ class TestRk4Lti:
         slow = rk4_lti_loop(a, b, u, 0.01, x0)
         assert np.max(np.abs(fast - slow)) < 1e-12
 
+    def test_matches_literal_loop_across_row_blocks(self):
+        # three full row blocks of the long products and a partial one
+        rng = np.random.default_rng(5)
+        a, b = corner_system(default_car())
+        n_steps = 3 * _BLOCK_ROWS + 100
+        u = rng.normal(0.0, 0.01, (2 * n_steps + 1, 2))
+        x0 = rng.normal(0.0, 0.01, 4)
+        fast = rk4_lti(a, b, u, 1e-3, x0)
+        slow = rk4_lti_loop(a, b, u, 1e-3, x0)
+        assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
+
     def test_scalar_input_system(self):
         a = np.array([[-1.0]])
         b = np.array([[1.0]])
@@ -65,6 +76,29 @@ class TestRk4Lti:
         out = rk4_lti(a, b, np.zeros((1, 2)), 0.01, np.arange(4.0))
         assert out.shape == (1, 4)
         assert np.array_equal(out[0], np.arange(4.0))
+
+
+B = _BLOCK_ROWS
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.sampled_from([0, 1, 2, B - 1, B, B + 1, B + 2, 3 * B + 5]),
+    shape=st.sampled_from(["(r,2)@(2,8)", "(r,8)@(8,4)", "(r,4)@(4,)"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocked_product_is_bit_identical_to_matmul(rows, shape, seed):
+    """The row-blocked product equals ``@`` bit for bit, block edges included,
+    for the input products and back-transform of ``rk4_lti`` (the latter on
+    a transposed view, as there) and the ``a_z`` product of a corner."""
+    rng = np.random.default_rng(seed)
+    if shape == "(r,2)@(2,8)":
+        a, b = rng.normal(size=(2 * rows + 1, 2))[0:-2:2], rng.normal(size=(2, 8))
+    elif shape == "(r,8)@(8,4)":
+        a, b = rng.normal(size=(rows, 8)), rng.normal(size=(4, 8)).T
+    else:
+        a, b = rng.normal(size=(rows, 4)), rng.normal(size=4)
+    assert np.array_equal(_blocked_matmul(a, b), a @ b)
 
 
 calibration_values = st.fixed_dictionaries(

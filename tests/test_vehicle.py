@@ -269,6 +269,19 @@ class TestDrivePlan:
             a, b = two_run.channel(name).values, four_run.channel(name).values
             assert np.max(np.abs(a - b)) <= 1e-12 * max(np.max(np.abs(b)), 1.0), name
 
+    def test_two_corners_heave_equals_four_products(self, car, geometry, class_c_grid):
+        # the left-side a_z products are reused for the right, in the sum
+        # order of the four-corner form
+        stiff = replace(car, k_s=34000.0, c_s=2500.0)
+        plan = drive_plan(Scenario(road=class_c_grid, target_speed=20.0), geometry, car.mu_tire)
+        assert plan.same_sides
+        terms = []
+        for (u, x0), params in zip(plan.wheels, (car, car, stiff, stiff)):
+            a, b = corner_system(params)
+            terms.append(rk4_lti(a, b, u, plan.dt, x0) @ a[1])
+        a_z = corner_dynamics(plan, car, stiff).channel("az").values
+        assert np.array_equal(a_z, (terms[0] + terms[1] + terms[2] + terms[3]) / 4.0)
+
     def test_right_wheel_off_a_uniform_grid_fails(self, car, geometry):
         # only the left track is read, but the right wheel must lie on the road
         grid = straight_grid(np.zeros(200), 0.5, lateral_span=2.0)
