@@ -214,7 +214,6 @@ class LMResult:
     objective: float
     objective_trace: list[float]
     n_iter: int
-    converged: bool
     reason: str
 
 
@@ -250,12 +249,11 @@ def levenberg_marquardt(
     lam = 1e-3
     n_iter = 0
     reason = "max_iter"
-    converged = False
 
     while n_iter < max_iter:
         n_iter += 1
         if f < tol:
-            reason, converged = "objective below tol", True
+            reason = "objective below tol"
             break
         jac = _forward_jacobian(eval_residual, p, r, lower, upper)
         jtj = jac.T @ jac
@@ -300,17 +298,15 @@ def levenberg_marquardt(
                     outcome = "stalled"
 
         if outcome == "step_small":
-            reason, converged = "step size below 1e-10", True
+            reason = "step size below 1e-10"
             break
         if outcome == "stalled":
-            reason, converged = "damping exhausted (no descent direction)", True
+            reason = "damping exhausted (no descent direction)"
             break
 
     if f < tol:
-        reason, converged = "objective below tol", True
-    return LMResult(
-        params=p, objective=f, objective_trace=trace, n_iter=n_iter, converged=converged, reason=reason
-    )
+        reason = "objective below tol"
+    return LMResult(params=p, objective=f, objective_trace=trace, n_iter=n_iter, reason=reason)
 
 
 def _forward_jacobian(
@@ -372,7 +368,6 @@ class StageReport:
     objective_before: float
     objective_after: float
     objective_trace: list[float]
-    params_after: dict[str, float]
     reason: str
 
 
@@ -430,7 +425,6 @@ def run_chain(
                 objective_before=result.objective_trace[0],
                 objective_after=result.objective,
                 objective_trace=result.objective_trace,
-                params_after=dict(current),
                 reason=result.reason,
             )
         )

@@ -104,12 +104,8 @@ def _read_profile_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 def _cmd_iri(args) -> int:
     stations, elevation = _read_profile_csv(args.profile)
-    steps = np.diff(stations)
-    if np.any(steps <= 0) or np.max(np.abs(steps - steps[0])) > 1e-6 * steps[0]:
-        raise InvalidInput("profile stations must be uniformly increasing")
-    results = iri_mod.compute_iri(
-        elevation, float(steps[0]), speed=args.speed_kmh / 3.6, segment_length=args.segment
-    )
+    step = signals.uniform_step(stations, "profile stations must be uniformly increasing")
+    results = iri_mod.compute_iri(elevation, step, speed=args.speed_kmh / 3.6, segment_length=args.segment)
     classify_speed = args.speed_kmh if args.classify_speed_kmh is None else args.classify_speed_kmh
     lines = (
         f"{stations[0] + r.s_start:.3f},{r.iri:.6f},{iri_mod.classify_iri(r.iri, classify_speed)}\n" for r in results

@@ -81,8 +81,6 @@ def rk4_lti_loop(A, B, u_half: np.ndarray, dt: float, x0) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     u = np.asarray(u_half, dtype=float)
-    if u.ndim == 1:
-        u = u[:, None]
     n_steps = (u.shape[0] - 1) // 2
     x = np.asarray(x0, dtype=float).copy()
     out = np.empty((n_steps + 1, A.shape[0]))
@@ -108,8 +106,7 @@ def rk4_lti(A, B, u_half: np.ndarray, dt: float, x0) -> np.ndarray:
     A, B : array_like
         System matrices, shapes (n, n) and (n, m).
     u_half : np.ndarray
-        Input samples at t0, t0+dt/2, ..., t0+N*dt; shape (2N+1, m) or (2N+1,)
-        for single-input systems.
+        Input samples at t0, t0+dt/2, ..., t0+N*dt; shape (2N+1, m).
     dt : float
         Step size.
     x0 : array_like
@@ -123,8 +120,6 @@ def rk4_lti(A, B, u_half: np.ndarray, dt: float, x0) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     u = np.asarray(u_half, dtype=float)
-    if u.ndim == 1:
-        u = u[:, None]
     if (u.shape[0] - 1) % 2:
         raise NumericFailure("half-grid input must have odd sample count (2N+1)")
     n_steps = (u.shape[0] - 1) // 2

@@ -16,9 +16,10 @@ import numpy as np
 from .errors import InvalidInput
 from .integrators import half_grid_input, rk4_lti
 from .signals import SpaceSeries, uniform_grid
+from .vehicle import QuarterCarParams, corner_system
 
 __all__ = [
-    "GoldenCarParams",
+    "GOLDEN_CAR",
     "IriResult",
     "RIDE_QUALITY_LABELS",
     "IRI_THRESHOLD_SPEEDS_KMH",
@@ -59,45 +60,10 @@ IRI_THRESHOLDS = {
 }
 
 
-@dataclass(frozen=True)
-class GoldenCarParams:
-    """Mass-normalized reference quarter car.
-
-    ``c`` = suspension damping / sprung mass [1/s], ``k1`` = tire spring /
-    sprung mass [1/s^2], ``k2`` = suspension spring / sprung mass [1/s^2],
-    ``mu`` = unsprung / sprung mass ratio.  The defaults are the reference
-    constants that define the index.
-    """
-
-    c: float = 6.00
-    k1: float = 653.00
-    k2: float = 63.30
-    mu: float = 0.15
-
-    def __post_init__(self):
-        if min(self.c, self.k1, self.k2, self.mu) <= 0:
-            raise InvalidInput("golden-car parameters must be > 0")
-        if np.any(np.linalg.eigvals(self.matrix_a()).real >= 0):
-            raise InvalidInput("golden-car system is not asymptotically stable")
-
-    def matrix_a(self) -> np.ndarray:
-        """System matrix for state [z_s, z_s', z_u, z_u']."""
-        return np.array(
-            [
-                [0.0, 1.0, 0.0, 0.0],
-                [-self.k2, -self.c, self.k2, self.c],
-                [0.0, 0.0, 0.0, 1.0],
-                [self.k2 / self.mu, self.c / self.mu, -(self.k1 + self.k2) / self.mu, -self.c / self.mu],
-            ]
-        )
-
-    def vector_b(self) -> np.ndarray:
-        """Input column driving z_u'' with the road elevation."""
-        return np.array([[0.0], [0.0], [0.0], [self.k1 / self.mu]])
-
-
-#: The reference car of the index.
-_GOLDEN_CAR = GoldenCarParams()
+#: The reference car of the index, mass-normalized (sprung mass 1) and without
+#: tire damping.  In the index's usual notation c, k1, k2 and mu are c_s, k_t,
+#: k_s and m_u.
+GOLDEN_CAR = QuarterCarParams(m_s=1.0, m_u=0.15, k_s=63.3, c_s=6.0, k_t=653.0, d_t=0.0)
 
 
 @dataclass(frozen=True)
@@ -106,7 +72,6 @@ class IriResult:
 
     iri: float
     segment_length: float
-    speed: float
     s_start: float
 
     def __post_init__(self):
@@ -157,7 +122,8 @@ def compute_iri(
     x0 = np.array([profile[0], slope * speed, profile[0], slope * speed])
     n_sub = int(np.ceil(dt / MAX_IRI_DT))
     fine = np.interp(np.arange((len(profile) - 1) * n_sub + 1) / n_sub, np.arange(len(profile)), profile)
-    states = rk4_lti(_GOLDEN_CAR.matrix_a(), _GOLDEN_CAR.vector_b(), half_grid_input(fine), dt / n_sub, x0)[::n_sub]
+    a, b = corner_system(GOLDEN_CAR)
+    states = rk4_lti(a, b[:, :1], half_grid_input(fine)[:, None], dt / n_sub, x0)[::n_sub]
     rate = np.abs(states[:, 1] - states[:, 3])
 
     per_segment = int(round(segment_length / step))
@@ -174,7 +140,6 @@ def compute_iri(
             IriResult(
                 iri=1000.0 * accumulated / seg_len,
                 segment_length=seg_len,
-                speed=speed,
                 s_start=i0 * step,
             )
         )

@@ -50,15 +50,16 @@ def window_edges(s0: float, extent: float, l_cr: float) -> np.ndarray:
     return edges
 
 
-def _window_index_spans(series: SpaceSeries, l_cr: float) -> list[tuple[int, int]]:
-    """Half-open sample index spans of the complete windows of a space series."""
-    edges = window_edges(series.s0, series.extent, l_cr)
-    positions = series.positions
-    idx = np.searchsorted(positions, edges - 1e-9 * series.ds, side="left")
-    spans = [(int(idx[k]), int(idx[k + 1])) for k in range(len(edges) - 1)]
-    if any(j1 <= j0 for j0, j1 in spans):
-        raise InvalidInput("window contains no samples; l_cr too small for the grid")
-    return spans
+def _window_starts(positions: np.ndarray, edges: np.ndarray, tol: float) -> np.ndarray:
+    """For each window edge, the index of the first position at or past ``edge - tol``.
+
+    Window k holds the samples ``starts[k]:starts[k + 1]``; an empty window
+    is an error.
+    """
+    starts = np.searchsorted(positions, edges - tol, side="left")
+    if np.any(np.diff(starts) < 1):
+        raise InvalidInput("a window holds no samples; shrink the sample step or grow the window")
+    return starts
 
 
 @dataclass(frozen=True)
@@ -128,13 +129,14 @@ def find_critical(flag: thresholds.ExceedanceSignal, l_cr: float = DEFAULT_WINDO
 
     A window is critical when every one of its samples exceeds the band.
     """
-    spans = _window_index_spans(flag.series, l_cr)
-    values = np.asarray(flag.series.values, dtype=bool)
-    critical = np.array([bool(np.all(values[j0:j1])) for j0, j1 in spans])
+    series = flag.series
+    starts = _window_starts(series.positions, window_edges(series.s0, series.extent, l_cr), 1e-9 * series.ds)
+    values = np.asarray(series.values, dtype=bool)
+    critical = np.logical_and.reduceat(values[: starts[-1]], starts[:-1])
     c = int(critical.sum())
-    row = SectionRow(category=flag.label, c=c, n=len(spans) - c, critical_windows=critical)
+    row = SectionRow(category=flag.label, c=c, n=len(critical) - c, critical_windows=critical)
     return SectionReport(
-        method="threshold", window_length=l_cr, total_windows=len(spans), rows=[row]
+        method="threshold", window_length=l_cr, total_windows=len(critical), rows=[row]
     )
 
 
@@ -205,11 +207,8 @@ def classify_windows_iso(
 
     per_run_av = np.empty((len(runs), n_windows))
     for i, run in enumerate(runs):
-        s = run.s.values
-        idx = np.searchsorted(s, edges, side="left")
+        idx = _window_starts(run.s.values, edges, 0.0)
         counts = np.diff(idx)
-        if np.any(counts < 1):
-            raise InvalidInput("a window holds no samples of a run; shrink the step or grow l_cr")
         mean_squares = {}
         for axis, result in iso2631.weight_axes(run, weightings).items():
             weighted = result.a_w.values
@@ -248,8 +247,9 @@ def classify_windows_iri(
     reported (windows below the G band are the non-critical remainder) but
     still appears in the returned labels.
     """
-    spans = _window_index_spans(iri_series, l_cr)
     edges = window_edges(iri_series.s0, iri_series.extent, l_cr)
+    starts = _window_starts(iri_series.positions, edges, 1e-9 * iri_series.ds)
+    spans = list(zip(starts[:-1], starts[1:]))
     values = np.asarray(iri_series.values, dtype=float)
     if isinstance(speed, SpaceSeries):
         speeds = np.interp(iri_series.positions, speed.positions, speed.values)

@@ -26,6 +26,7 @@ __all__ = [
     "to_space",
     "aggregate",
     "uniform_grid",
+    "uniform_step",
     "is_data_line",
     "parse_rows",
     "read_response_csv",
@@ -190,6 +191,17 @@ def uniform_grid(start: float, span: float, step: float) -> np.ndarray:
     return start + step * np.arange(int(np.floor(span / step + 1e-9)) + 1)
 
 
+def uniform_step(x: np.ndarray, message: str) -> float:
+    """Step of a uniformly increasing axis, to 1e-6 of the step.
+
+    Any other axis raises :class:`InvalidInput` with ``message``.
+    """
+    step = float(x[1] - x[0])
+    if step <= 0 or np.max(np.abs(np.diff(x) - step)) > 1e-6 * step:
+        raise InvalidInput(message)
+    return step
+
+
 def rmse(predicted: TimeSeries, reference: TimeSeries) -> float:
     """Root mean square error between two equally sampled series."""
     _check_compatible(predicted, reference)
@@ -330,13 +342,6 @@ def _parse_trace_csv(path) -> dict[str, np.ndarray]:
     return {name: data[:, i] for i, name in enumerate(header)}
 
 
-def _time_axis(t: np.ndarray, path) -> tuple[float, float]:
-    dt = float(t[1] - t[0])
-    if dt <= 0 or np.max(np.abs(np.diff(t) - dt)) > 1e-6 * dt:
-        raise InvalidInput(f"{path}: time column is not uniformly increasing")
-    return float(t[0]), dt
-
-
 def read_reference_csv(path) -> dict[str, TimeSeries]:
     """Read a trace CSV that may carry only a subset of the channels.
 
@@ -344,8 +349,9 @@ def read_reference_csv(path) -> dict[str, TimeSeries]:
     references where e.g. Euler-rate columns may be missing.
     """
     cols = _parse_trace_csv(path)
-    t0, dt = _time_axis(cols.pop("t"), path)
-    return {name: TimeSeries(t0=t0, dt=dt, values=values) for name, values in cols.items()}
+    t = cols.pop("t")
+    dt = uniform_step(t, f"{path}: time column is not uniformly increasing")
+    return {name: TimeSeries(t0=float(t[0]), dt=dt, values=values) for name, values in cols.items()}
 
 
 def read_response_csv(path) -> VehicleResponse:

@@ -128,9 +128,6 @@ class SpeedProfile:
     def constant(cls, v: float) -> "SpeedProfile":
         return cls(breakpoints=np.array([0.0]), speeds=np.array([float(v)]))
 
-    def at(self, s) -> np.ndarray:
-        return np.interp(s, self.breakpoints, self.speeds)
-
 
 @dataclass(frozen=True)
 class Scenario:

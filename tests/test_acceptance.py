@@ -23,7 +23,7 @@ from ridekit.config import load_config
 from ridekit.iri import (
     IRI_THRESHOLD_SPEEDS_KMH,
     IRI_THRESHOLDS,
-    GoldenCarParams,
+    GOLDEN_CAR,
     classify_iri,
     compute_iri,
     iri_severity,
@@ -112,8 +112,8 @@ def test_criterion_02_rms_and_combination_identities():
 
 def test_criterion_03_iri_correctness():
     t0 = time.time()
-    params = GoldenCarParams()
-    assert (params.c, params.k1, params.k2, params.mu) == (6.00, 653.00, 63.30, 0.15)
+    car = GOLDEN_CAR
+    assert (car.m_s, car.c_s, car.k_t, car.k_s, car.m_u, car.d_t) == (1.0, 6.00, 653.00, 63.30, 0.15, 0.0)
 
     flat = compute_iri(np.zeros(2001), 0.1, segment_length=100.0)
     assert all(r.iri == 0.0 for r in flat)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from ridekit.calibration import CALIBRATION_PARAMETERS, apply_parameters
 from ridekit.errors import NumericFailure
 from ridekit.integrators import _BLOCK_ROWS, _blocked_matmul, half_grid_input, rk4_lti, rk4_lti_loop
-from ridekit.iri import GoldenCarParams
+from ridekit.iri import GOLDEN_CAR
 from ridekit.vehicle import MAX_DT, corner_system, default_car
 
 
@@ -54,7 +54,7 @@ class TestRk4Lti:
     def test_scalar_input_system(self):
         a = np.array([[-1.0]])
         b = np.array([[1.0]])
-        u = np.ones(2 * 50 + 1)
+        u = np.ones((2 * 50 + 1, 1))
         out = rk4_lti(a, b, u, 0.05, np.zeros(1))
         # x' = -x + 1 from 0 -> approaches 1
         assert out[-1, 0] == pytest.approx(1.0 - np.exp(-2.5), rel=1e-6)
@@ -67,7 +67,7 @@ class TestRk4Lti:
     def test_divergence_detected(self):
         a = np.array([[5000.0]])  # unstable at this step: |1 + z + ...| > 1
         b = np.array([[0.0]])
-        u = np.zeros(2 * 4000 + 1)
+        u = np.zeros((2 * 4000 + 1, 1))
         with pytest.raises(NumericFailure):
             rk4_lti(a, b, u, 0.01, np.array([1.0]))
 
@@ -127,13 +127,13 @@ def test_modal_path_matches_literal_loop_on_corners(values, rear, dt, n_steps, s
     """The modal path is within 1e-12 of the loop's peak on a drawn corner and
     on the IRI golden car, which runs sub-millisecond steps on fine profiles."""
     front_params, rear_params = apply_parameters(default_car(), default_car(), values)
-    golden = GoldenCarParams()
+    golden_a, golden_b = corner_system(GOLDEN_CAR)
     rng = np.random.default_rng(seed)
     u = rng.normal(0.0, 0.01, (2 * n_steps + 1, 2))
     x0 = rng.normal(0.0, 0.01, 4)
     systems = [
         (*corner_system(rear_params if rear else front_params), u),
-        (golden.matrix_a(), golden.vector_b(), u[:, :1]),
+        (golden_a, golden_b[:, :1], u[:, :1]),
     ]
     for a, b, inputs in systems:
         fast = rk4_lti(a, b, inputs, dt, x0)

@@ -8,31 +8,30 @@ from ridekit.errors import InvalidInput
 from ridekit.iri import (
     IRI_THRESHOLD_SPEEDS_KMH,
     IRI_THRESHOLDS,
+    GOLDEN_CAR,
     RIDE_QUALITY_LABELS,
-    GoldenCarParams,
     classify_iri,
     compute_iri,
     interpolate_iri,
     iri_severity,
 )
 from ridekit.road import synth_profile
+from ridekit.vehicle import corner_system
 
 
 class TestGoldenCar:
     def test_reference_constants(self):
-        params = GoldenCarParams()
-        assert params.c == 6.00
-        assert params.k1 == 653.00
-        assert params.k2 == 63.30
-        assert params.mu == 0.15
+        # c, k1, k2 and mu of the index definition, per unit sprung mass
+        assert GOLDEN_CAR.m_s == 1.0
+        assert GOLDEN_CAR.c_s == 6.00
+        assert GOLDEN_CAR.k_t == 653.00
+        assert GOLDEN_CAR.k_s == 63.30
+        assert GOLDEN_CAR.m_u == 0.15
+        assert GOLDEN_CAR.d_t == 0.0
 
     def test_system_is_stable(self):
-        eigenvalues = np.linalg.eigvals(GoldenCarParams().matrix_a())
+        eigenvalues = np.linalg.eigvals(corner_system(GOLDEN_CAR)[0])
         assert np.all(eigenvalues.real < 0)
-
-    def test_bad_override_rejected(self):
-        with pytest.raises(InvalidInput):
-            GoldenCarParams(c=-1.0)
 
 
 class TestComputeIri:
@@ -100,11 +99,11 @@ def iri_exact(profile, step, speed, segment_length):
     with the blocks of one matrix exponential.  The start state and the
     trapezoidal accumulation are those of the index definition.
     """
-    car = GoldenCarParams()
+    a, b = corner_system(GOLDEN_CAR)
     dt = step / speed
     block = np.zeros((6, 6))
-    block[:4, :4] = car.matrix_a()
-    block[:4, 4] = car.vector_b()[:, 0]
+    block[:4, :4] = a
+    block[:4, 4] = b[:, 0]
     block[4, 5] = 1.0
     e = expm(block * dt)
     phi, e1, e2 = e[:4, :4], e[:4, 4], e[:4, 5]

@@ -266,10 +266,21 @@ class TestAnalyze:
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
     def test_window_counts_consistent(self, bundle):
-        _, out, _ = bundle
+        cfg, out, _ = bundle
         lines = (out / "iso_report.csv").read_text().strip().splitlines()[1:]
         totals = {int(parts[1]) + int(parts[3]) for parts in (line.split(",") for line in lines)}
         assert len(totals) == 1  # C + N identical across categories
+        # segments no longer than a window: all three methods share the windows
+        assert cfg.iri_segment_m <= cfg.window_m
+        centers = {}
+        for name in ("iso_windows.csv", "iri_windows.csv"):
+            rows = (out / name).read_text().strip().splitlines()[1:]
+            centers[name] = [row.split(",")[0] for row in rows]
+        assert centers["iso_windows.csv"] == centers["iri_windows.csv"]
+        assert totals == {len(centers["iso_windows.csv"])}
+        for row in (out / "threshold_report.csv").read_text().strip().splitlines()[1:]:
+            _, _, c, _, n, _ = row.split(",")
+            assert int(c) + int(n) == len(centers["iso_windows.csv"])
 
     def test_smooth_road_all_quiet(self, tmp_path):
         path = write_config(
@@ -461,6 +472,15 @@ class TestSmallCommands:
         assert main(["iri", "--profile", str(profile), "--segment", "0.1"]) == 2
         err = capsys.readouterr().err
         assert "error [InvalidInput]" in err and message in err
+
+    @pytest.mark.parametrize(
+        "stations", [(0.0, 0.1, 0.25), (0.0, 0.1, 0.1), (0.2, 0.1, 0.0)], ids=["gap", "repeat", "decreasing"]
+    )
+    def test_iri_cli_non_uniform_stations_fail(self, tmp_path, capsys, stations):
+        profile = tmp_path / "profile.csv"
+        profile.write_text("station,elevation\n" + "".join(f"{s},0.0\n" for s in stations))
+        assert main(["iri", "--profile", str(profile), "--segment", "0.1"]) == 2
+        assert "profile stations must be uniformly increasing" in capsys.readouterr().err
 
     def test_iri_cli_zero_classify_speed_fails(self, tmp_path, capsys):
         profile = tmp_path / "profile.csv"

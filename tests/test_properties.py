@@ -39,11 +39,16 @@ def _walk(rng, n, scale):
 def test_band_method_counts_every_window_and_nests_styles(seed, n, l_cr, scale):
     rng = np.random.default_rng(seed)
     space = {f"a{axis}": SpaceSeries(0.0, DS, _walk(rng, n, scale)) for axis in thresholds.AXES}
-    reports, text = sections.find_critical_bands(space, thresholds.load_bands(), l_cr)
+    bands = thresholds.load_bands()
+    reports, text = sections.find_critical_bands(space, bands, l_cr)
     windows = int(n * DS // l_cr)  # a space series extends len * ds
-    for report in reports.values():
+    per = int(l_cr / DS)
+    for (axis, style), report in reports.items():
         row = report.rows[0]
         assert row.c + row.n == windows == len(row.critical_windows)
+        # critical: every sample of the window exceeds; samples past the last window do not count
+        flag = thresholds.exceedance(space[f"a{axis}"], bands[(axis, style)]).series.values
+        assert np.array_equal(row.critical_windows, flag[: windows * per].reshape(windows, per).all(axis=1))
     assert len(text.splitlines()) == 1 + len(thresholds.AXES) * len(thresholds.STYLES)
     for axis in thresholds.AXES:
         pt, nd, ag = (reports[(axis, style)].rows[0].critical_windows for style in thresholds.STYLES)

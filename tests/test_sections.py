@@ -62,6 +62,21 @@ class TestFindCritical:
         assert "C_PT,z" in report.format_table()
 
 
+@pytest.mark.parametrize(
+    "classify",
+    [
+        lambda: find_critical(flag_from(np.zeros(100), ds=1.0), 0.5),
+        lambda: classify_windows_iso([constant_speed_response(v=10.0, dt=0.005, n=2001)], 0.025),
+        lambda: classify_windows_iri(SpaceSeries(0.0, 1.0, np.ones(100)), 15.0, 0.5),
+    ],
+    ids=["find_critical", "classify_windows_iso", "classify_windows_iri"],
+)
+def test_window_shorter_than_sample_step_rejected(classify):
+    # samples 1 m (0.05 m for the trace) apart, windows half a step long
+    with pytest.raises(InvalidInput, match="a window holds no samples"):
+        classify()
+
+
 class TestIsoWindows:
     def test_zero_traces_all_not_uncomfortable(self):
         runs = [constant_speed_response(v=10.0, dt=0.005, n=6001) for _ in range(3)]

@@ -228,6 +228,15 @@ class TestTraceCsv:
         assert set(channels) == {"vx", "az"}
         assert channels["az"].dt == pytest.approx(0.1)
 
+    @pytest.mark.parametrize(
+        "times", [(0.0, 0.1, 0.3), (0.0, 0.1, 0.1), (0.2, 0.1, 0.0)], ids=["gap", "repeat", "decreasing"]
+    )
+    def test_non_uniform_time_rejected(self, tmp_path, times):
+        path = tmp_path / "ref.csv"
+        path.write_text("t,vx\n" + "".join(f"{t},10.0\n" for t in times))
+        with pytest.raises(InvalidInput, match="time column is not uniformly increasing"):
+            read_reference_csv(path)
+
     def test_missing_channel_rejected(self, tmp_path):
         path = tmp_path / "ref.csv"
         path.write_text("t,vx\n0.0,10.0\n0.1,10.0\n")

@@ -39,6 +39,8 @@ class TestParams:
             QuarterCarParams(m_s=-1, m_u=40, k_s=1e4, c_s=100, k_t=1e5, d_t=0)
         with pytest.raises(InvalidInput):
             QuarterCarParams(m_s=350, m_u=40, k_s=1e4, c_s=100, k_t=1e5, d_t=0, mu_tire=3.0)
+        with pytest.raises(InvalidInput):
+            QuarterCarParams(m_s=1.0, m_u=0.15, k_s=63.3, c_s=-1.0, k_t=653.0, d_t=0.0)  # negative damping
         # zero damping is allowed (undamped checks depend on it)
         QuarterCarParams(m_s=350, m_u=40, k_s=1e4, c_s=0.0, k_t=1e5, d_t=0.0)
 
