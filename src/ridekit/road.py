@@ -34,6 +34,9 @@ __all__ = [
     "straight_grid",
 ]
 
+#: Fewest nodes ``make_smoothing_spline`` accepts; a shorter axis stays unsmoothed.
+_MIN_SMOOTHING_NODES = 5
+
 #: One-sided displacement PSD magnitude at the reference wavenumber, per
 #: roughness class [m^3].  Each class doubles the profile amplitude of the
 #: previous one.
@@ -104,8 +107,8 @@ class SmoothingParams:
     lambda_z: float = 0.0
 
     def __post_init__(self):
-        if self.lambda_x < 0 or self.lambda_y < 0 or self.lambda_z < 0:
-            raise InvalidInput("smoothing penalties must be >= 0")
+        if not all(np.isfinite(lam) and lam >= 0 for lam in (self.lambda_x, self.lambda_y, self.lambda_z)):
+            raise InvalidInput("smoothing penalties must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -305,14 +308,10 @@ class SurfaceInterpolator:
         z = grid.elevations
         stations = grid.stations
         offsets = grid.lateral_offsets
-        if self.params.lambda_x > 0 and len(stations) >= 4:
-            z = np.column_stack(
-                [make_smoothing_spline(stations, z[:, j], lam=self.params.lambda_x)(stations) for j in range(z.shape[1])]
-            )
-        if self.params.lambda_y > 0 and len(offsets) >= 4:
-            z = np.vstack(
-                [make_smoothing_spline(offsets, z[i, :], lam=self.params.lambda_y)(offsets) for i in range(z.shape[0])]
-            )
+        if self.params.lambda_x > 0 and len(stations) >= _MIN_SMOOTHING_NODES:
+            z = make_smoothing_spline(stations, z, lam=self.params.lambda_x, axis=0)(stations)
+        if self.params.lambda_y > 0 and len(offsets) >= _MIN_SMOOTHING_NODES:
+            z = make_smoothing_spline(offsets, z, lam=self.params.lambda_y, axis=1)(offsets)
         kx = min(3, len(stations) - 1)
         ky = min(3, len(offsets) - 1)
         self._surface = RectBivariateSpline(stations, offsets, z, kx=kx, ky=ky, s=0)
@@ -359,7 +358,7 @@ def wheel_track_profile(
     params = params or SmoothingParams()
     s = uniform_grid(grid.stations[0], grid.length, step)
     profile = grid.surface(params).track(s, lateral_offset)
-    if params.lambda_z > 0 and len(profile) >= 4:
+    if params.lambda_z > 0 and len(profile) >= _MIN_SMOOTHING_NODES:
         profile = make_smoothing_spline(s, profile, lam=params.lambda_z)(s)
     return profile
 

@@ -115,12 +115,15 @@ class TestConfig:
             ("analysis", {"bands_file": "bands_columns.csv"}),
             ("analysis", {"k_factors": [float("nan"), 1.0, 1.0]}),
             ("analysis", {"k_factors": [-2.0, 1.0, 1.0]}),
+            ("road", {"smoothing": {"lambda_x": float("nan")}}),
+            ("road", {"smoothing": {"lambda_y": float("inf")}}),
         ],
         ids=[
             "aggregator", "iso_reduction", "ds", "weightings", "dt", "segment_m", "speed_kmh", "window_below_ds",
             "segment_below_step", "step", "iri_step", "segment_beyond_road", "one_interpolated_segment",
             "iri_step_grid_file", "window_beyond_road", "offset_step", "lateral_span",
             "lateral_span_inf", "bands_incomplete", "bands_sign", "bands_columns", "k_nan", "k_negative",
+            "lambda_x_nan", "lambda_y_inf",
         ],
     )
     def test_bad_setting_fails_before_any_output(self, tmp_path, monkeypatch, capsys, section, entry):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.interpolate import RectBivariateSpline, make_smoothing_spline
 from scipy.signal import welch
 
 from ridekit.errors import DomainBoundsError, GridParseError, InvalidInput
@@ -289,6 +290,39 @@ class TestWheelTrack:
             wheel_track_profile(grid, 2.7, params, step=0.05)
 
 
+class TestSmoothedSurface:
+    @pytest.mark.parametrize("lam_x, lam_y", [(1e-3, 0.0), (0.0, 1e-2), (1e-3, 1e-2)], ids=["columns", "rows", "both"])
+    def test_one_call_per_axis_equals_per_line_loop(self, lam_x, lam_y):
+        # reference: one 1-D smoothing spline per offset column, then one per
+        # station row, before the bicubic fit
+        grid = curved_crossfall_grid()
+        s, v = grid.stations, grid.lateral_offsets
+        z = grid.elevations
+        if lam_x > 0:
+            z = np.column_stack([make_smoothing_spline(s, z[:, j], lam=lam_x)(s) for j in range(z.shape[1])])
+        if lam_y > 0:
+            z = np.vstack([make_smoothing_spline(v, z[i, :], lam=lam_y)(v) for i in range(z.shape[0])])
+        assert not np.allclose(z, grid.elevations, rtol=0, atol=1e-6)
+        reference = RectBivariateSpline(s, v, z, kx=3, ky=3, s=0)
+        surface = SurfaceInterpolator(grid, SmoothingParams(lambda_x=lam_x, lambda_y=lam_y))
+        for offset in v:
+            assert np.array_equal(surface.track(s, offset), reference(s, [offset])[:, 0])
+
+    @pytest.mark.parametrize("penalty", ["lambda_x", "lambda_y", "lambda_z"])
+    def test_axis_below_five_nodes_left_unsmoothed(self, penalty):
+        # make_smoothing_spline needs 5 nodes: 4 stations and 4 offsets are
+        # skipped, 5 of each are smoothed
+        for n, smoothed in ((4, False), (5, True)):
+            stations = 0.1 * np.arange(n)
+            ref = ReferenceLine.from_geometry(stations, np.zeros(n), np.zeros(n))
+            z = 0.01 * np.random.default_rng(n).standard_normal((n, n))
+            grid = RoadGrid(ref_line=ref, lateral_offsets=0.5 * np.arange(n) - 0.25 * (n - 1), elevations=z, grid_step=0.1)
+            raw = wheel_track_profile(grid, 0.25, step=0.1)
+            profile = wheel_track_profile(grid, 0.25, SmoothingParams(**{penalty: 1e-3}), step=0.1)
+            assert len(profile) == n
+            assert np.array_equal(profile, raw) != smoothed
+
+
 class TestInvariants:
     def test_smoothing_identity_at_zero_lambda(self):
         rng = np.random.default_rng(2)
@@ -305,3 +339,9 @@ class TestInvariants:
     def test_negative_lambda_rejected(self):
         with pytest.raises(InvalidInput):
             SmoothingParams(lambda_x=-1.0)
+
+    @pytest.mark.parametrize("penalty", ["lambda_x", "lambda_y", "lambda_z"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_lambda_rejected(self, penalty, value):
+        with pytest.raises(InvalidInput, match="finite"):
+            SmoothingParams(**{penalty: value})
