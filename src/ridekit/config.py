@@ -19,13 +19,13 @@ import yaml
 from . import iso2631, thresholds
 from .calibration import CALIBRATION_PARAMETERS, OptimizationChain
 from .errors import ConfigError, InvalidInput
-from .road import ROUGHNESS_PSD_SCALE, SmoothingParams
+from .road import _MIN_SMOOTHING_NODES, ROUGHNESS_PSD_SCALE, SmoothingParams
 from .sampling import InputDistribution, default_input_distributions
 from .sections import ISO_REDUCTIONS
 from .signals import AGGREGATORS
 from .vehicle import MAX_DT, QuarterCarParams, SpeedProfile, VehicleGeometry, default_car, default_geometry
 
-__all__ = ["PipelineConfig", "load_config", "config_hash"]
+__all__ = ["PipelineConfig", "load_config", "check_smoothing_fits", "config_hash"]
 
 _TOP_KEYS = {"seed", "out_dir", "road", "scenario", "batch", "analysis", "iri", "vehicle", "calibration"}
 _METHODS = ("threshold", "iso", "iri")
@@ -124,6 +124,25 @@ def _parse_quarter_car(entry: dict | None, context: str) -> QuarterCarParams:
     return QuarterCarParams(**{**base.__dict__, **kwargs})
 
 
+def check_smoothing_fits(smoothing: SmoothingParams, n_stations: int, n_offsets: int, n_profile: int) -> None:
+    """Raise :class:`ConfigError` for a smoothing penalty on an axis too short to smooth.
+
+    ``lambda_x`` smooths along the road's stations, ``lambda_y`` across its
+    lateral offsets and ``lambda_z`` along an extracted profile of
+    ``n_profile`` samples; each needs at least ``road._MIN_SMOOTHING_NODES``.
+    """
+    axes = (
+        ("lambda_x", smoothing.lambda_x, n_stations, "stations"),
+        ("lambda_y", smoothing.lambda_y, n_offsets, "lateral offsets"),
+        ("lambda_z", smoothing.lambda_z, n_profile, "profile samples"),
+    )
+    for name, lam, nodes, axis in axes:
+        if lam > 0 and nodes < _MIN_SMOOTHING_NODES:
+            raise ConfigError(
+                f"road.smoothing.{name} needs at least {_MIN_SMOOTHING_NODES} {axis}; the road has {nodes}"
+            )
+
+
 def load_config(
     path,
     seed: int | None = None,
@@ -194,6 +213,11 @@ def _load_config(path, seed: int | None, out_dir: str | None, methods: tuple[str
         lambda_y=float(smoothing_entry.get("lambda_y", 0.0)),
         lambda_z=float(smoothing_entry.get("lambda_z", 0.0)),
     )
+    if road_synthetic is not None:
+        # the built grid closes the profile with its wrap sample, and its
+        # extracted profiles sample the stations one to one
+        n_stations = int(round(length / step)) + 1
+        check_smoothing_fits(smoothing, n_stations, int(round(2 * lateral_span / offset_step)) + 1, n_stations)
 
     scenario = raw.get("scenario", {})
     _check_keys(scenario, {"target_speed_kmh", "profile", "lane_half_width", "distributions"}, "scenario")

@@ -20,7 +20,7 @@ from . import __version__
 from . import calibration as calib_mod
 from . import iri as iri_mod
 from . import iso2631, road, sampling, sections, signals
-from .config import PipelineConfig, config_hash
+from .config import PipelineConfig, check_smoothing_fits, config_hash
 from .errors import ConfigError
 from .vehicle import Scenario
 
@@ -101,6 +101,7 @@ def analyze(cfg: PipelineConfig, out_dir) -> dict:
     tests and interactive use; files are the authoritative output.
     """
     grid = build_road(cfg)
+    _check_smoothing_fits(cfg, grid)
     if grid.length < cfg.window_m:
         raise ConfigError(f"analysis.window_m {cfg.window_m:g} m is longer than the {grid.length:g} m road")
     if "iri" in cfg.methods:
@@ -173,6 +174,12 @@ def analyze(cfg: PipelineConfig, out_dir) -> dict:
     return summary
 
 
+def _check_smoothing_fits(cfg: PipelineConfig, grid: road.RoadGrid) -> None:
+    """Fail before any output when a smoothing penalty sits on an axis of this road too short to smooth."""
+    n_profile = len(signals.uniform_grid(grid.stations[0], grid.length, grid.grid_step))
+    check_smoothing_fits(cfg.smoothing, len(grid.stations), len(grid.lateral_offsets), n_profile)
+
+
 def _check_iri_fits(cfg: PipelineConfig, grid: road.RoadGrid) -> None:
     """Fail before any output when the IRI settings cannot run on this road."""
     step = grid.grid_step
@@ -208,12 +215,14 @@ def _iri_space_series(results, grid, cfg: PipelineConfig) -> signals.SpaceSeries
 
 def calibrate(cfg: PipelineConfig, reference_path, out_dir) -> calib_mod.ChainResult:
     """Run the staged calibration against a reference trace and write the report."""
+    grid = build_road(cfg)
+    _check_smoothing_fits(cfg, grid)
+    reference = signals.read_reference_csv(reference_path)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs: dict[str, str] = {}
 
-    reference = signals.read_reference_csv(reference_path)
-    scenario = _scenario(cfg, build_road(cfg))
+    scenario = _scenario(cfg, grid)
     constraints = calib_mod.BoxConstraints.vehicle_defaults()
     chain = cfg.calibration_chain
     names = chain.parameters

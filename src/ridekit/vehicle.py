@@ -306,6 +306,13 @@ class DrivePlan:
     ``lambda_y == 0``, both wheel tracks read one profile.  Only the left one
     is extracted, the right-side entries are the left-side ones
     (:attr:`same_sides`) and two corners are integrated instead of four.
+
+    Memo rule: each wheel keeps the last corner run on it, as
+    ``(params, states, a_z)`` in :attr:`corner_runs`.  :func:`corner_dynamics`
+    reuses that run when the wheel's parameters equal the stored ones, so a
+    held plan integrates a wheel again only when its parameters change.
+    The speed, lateral and position channels are read-only: every run over
+    the plan returns them.
     """
 
     scenario: Scenario
@@ -319,6 +326,7 @@ class DrivePlan:
     s: np.ndarray
     warnings: tuple[str, ...]
     wheels: tuple[tuple[np.ndarray, np.ndarray], ...]
+    corner_runs: list = field(default_factory=lambda: [None] * 4, init=False, repr=False)
 
     @property
     def same_sides(self) -> bool:
@@ -380,6 +388,8 @@ def drive_plan(scenario: Scenario, geometry: VehicleGeometry, mu_eff: float, dt:
     else:
         fr, rr = wheel(right, s_half), wheel(right, s_rear_half)
 
+    for channel in (v_arr, ax_arr, a_y, psi_rate, s_arr):
+        channel.setflags(write=False)
     return DrivePlan(
         scenario=scenario,
         geometry=geometry,
@@ -405,27 +415,33 @@ def corner_dynamics(
     ``params`` parameterizes the front corners; ``rear_params`` (default: same
     as front) the rear corners, assuming left/right symmetry.  The corner
     responses combine into heave acceleration and roll and pitch rates by
-    rigid-body kinematics.
+    rigid-body kinematics.  A wheel whose parameters equal its last run on
+    this plan reuses that run (:class:`DrivePlan`, memo rule).  No array of a
+    kept run is returned, and the plan's own channels are read-only.
     """
     rear = rear_params if rear_params is not None else params
     geometry = plan.geometry
-    front_sys = corner_system(params)
-    rear_sys = corner_system(rear)
 
-    def corner(wheel: tuple[np.ndarray, np.ndarray], system) -> tuple[np.ndarray, np.ndarray]:
-        """States of one corner and its sprung-mass acceleration ``A[1] . x``."""
-        u, x0 = wheel
-        states = rk4_lti(system[0], system[1], u, plan.dt, x0)
-        return states, _blocked_matmul(states, system[0][1])
+    def corner(i: int, car: QuarterCarParams) -> tuple[np.ndarray, np.ndarray]:
+        """States of wheel ``i``'s corner and its sprung-mass acceleration ``A[1] . x``.
 
-    fl_in, fr_in, rl_in, rr_in = plan.wheels
-    fl, az_fl = corner(fl_in, front_sys)
-    rl, az_rl = corner(rl_in, rear_sys)
+        Integrated only when ``car`` differs from the wheel's last run.
+        """
+        run = plan.corner_runs[i]
+        if run is None or run[0] != car:
+            a, b = corner_system(car)
+            u, x0 = plan.wheels[i]
+            states = rk4_lti(a, b, u, plan.dt, x0)
+            run = plan.corner_runs[i] = (car, states, _blocked_matmul(states, a[1]))
+        return run[1], run[2]
+
+    fl, az_fl = corner(0, params)
+    rl, az_rl = corner(2, rear)
     if plan.same_sides:
         fr, az_fr, rr, az_rr = fl, az_fl, rl, az_rl
     else:
-        fr, az_fr = corner(fr_in, front_sys)
-        rr, az_rr = corner(rr_in, rear_sys)
+        fr, az_fr = corner(1, params)
+        rr, az_rr = corner(3, rear)
     a_z = sum((az_fl, az_fr, az_rl, az_rr)) / 4.0
 
     zdot_front = 0.5 * (fl[:, 1] + fr[:, 1])

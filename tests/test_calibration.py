@@ -180,7 +180,9 @@ class TestResidual:
 
 class TestHeldPlan:
     def test_residual_never_reuses_a_stale_plan(self, calib_setup, geometry):
-        # the second and third points share a friction, the others change it
+        # the second to sixth points share a friction, the others change it;
+        # between them only the front springs, then only the rear springs
+        # change, and then the front springs go back
         scenario, base, _, reference = calib_setup
         for mus in ((0.9, 1.2), (1.2, 0.9)):
             residual = simulation_residual(scenario, geometry, reference, base, base, dt=1e-3)
@@ -188,6 +190,9 @@ class TestHeldPlan:
                 {"mu_tire": mus[0]},
                 {"mu_tire": mus[1]},
                 {"mu_tire": mus[1], "k_tire": 280000.0},
+                {"mu_tire": mus[1], "k_tire": 280000.0, "k_s_front": 31000.0},
+                {"mu_tire": mus[1], "k_tire": 280000.0, "k_s_front": 31000.0, "k_s_rear": 22000.0},
+                {"mu_tire": mus[1], "k_tire": 280000.0, "k_s_rear": 22000.0},
                 {"mu_tire": mus[0], "k_tire": 280000.0},
             )
             for values in points:

@@ -7,10 +7,10 @@ import yaml
 
 from ridekit import iso2631, road, thresholds
 from ridekit.cli import main
-from ridekit.config import load_config
+from ridekit.config import check_smoothing_fits, load_config
 from ridekit.errors import ConfigError
 from ridekit.pipeline import analyze, build_road, calibrate, generate_road
-from ridekit.road import load_grid
+from ridekit.road import SmoothingParams, load_grid
 from ridekit.sampling import lhs
 from ridekit.signals import read_response_csv, write_response_csv
 from ridekit.vehicle import Scenario, default_car, default_geometry, simulate
@@ -88,6 +88,44 @@ class TestConfig:
         assert cfg.bands == thresholds.load_bands(bands_path) != thresholds.load_bands()
         assert cfg.bands[("z", "PT")].upper == 0.05
         assert load_config(write_config(tmp_path / "c.yaml", analysis=analysis), methods=("iso",)).bands is None
+
+    @pytest.mark.parametrize("axis, penalty", enumerate(["lambda_x", "lambda_y", "lambda_z"]))
+    def test_smoothing_needs_five_nodes_on_its_own_axis(self, axis, penalty):
+        counts = [4, 4, 4]
+        counts[axis] = 5
+        check_smoothing_fits(SmoothingParams(**{penalty: 1e-3}), *counts)
+        counts[axis] = 4
+        with pytest.raises(ConfigError, match=penalty):
+            check_smoothing_fits(SmoothingParams(**{penalty: 1e-3}), *counts)
+        check_smoothing_fits(SmoothingParams(), *counts)
+
+    @pytest.mark.parametrize(
+        "penalty, axis, synthetic, grid",
+        [
+            ("lambda_y", "lateral offsets", {"length": 200.0, "step": 0.1, "lateral_span": 0.75, "offset_step": 0.5},
+             lambda: road.straight_grid(np.zeros(2001), 0.1, lateral_span=0.75, offset_step=0.5)),
+            ("lambda_x", "stations", {"length": 0.3, "step": 0.1}, lambda: road.straight_grid(np.zeros(4), 0.1)),
+            ("lambda_z", "profile samples", {"length": 0.3, "step": 0.1}, lambda: road.straight_grid(np.zeros(4), 0.1)),
+        ],
+        ids=["lambda_y_four_offsets", "lambda_x_four_stations", "lambda_z_four_samples"],
+    )
+    def test_smoothing_on_a_short_axis_fails_before_any_output(
+        self, tmp_path, monkeypatch, capsys, penalty, axis, synthetic, grid
+    ):
+        # a synthetic road fails at load; the same road as a grid file fails
+        # once it is loaded, before either command makes its output directory
+        monkeypatch.chdir(tmp_path)
+        message = f"road.smoothing.{penalty} needs at least 5 {axis}; the road has 4"
+        synthetic_road = {"synthetic": {"roughness_class": "B", **synthetic}, "smoothing": {penalty: 1.0}}
+        with pytest.raises(ConfigError, match=message):
+            load_config(write_config(tmp_path / "synthetic.yaml", road=synthetic_road))
+        road.save_grid("grid.txt", grid())
+        path = write_config(tmp_path / "file.yaml", road={"file": "grid.txt", "smoothing": {penalty: 1.0}})
+        for command in (["analyze"], ["calibrate", "--reference", "absent.csv"]):
+            out = tmp_path / "out"
+            assert main([*command, "--config", str(path), "--out", str(out)]) == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "section, entry",

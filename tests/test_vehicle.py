@@ -284,6 +284,59 @@ class TestDrivePlan:
         a_z = corner_dynamics(plan, car, stiff).channel("az").values
         assert np.array_equal(a_z, (terms[0] + terms[1] + terms[2] + terms[3]) / 4.0)
 
+    @pytest.mark.parametrize("uniform", [False, True], ids=["four_corners", "two_corners"])
+    def test_held_plan_runs_equal_fresh_plans(self, car, geometry, class_c_grid, uniform, monkeypatch):
+        # front only, rear only, both, an exact repeat, then A -> B -> A; only
+        # a wheel whose parameters changed is integrated again
+        if uniform:
+            scenario = Scenario(road=class_c_grid, target_speed=20.0, l_p=0.4)
+        else:
+            speed = SpeedProfile(breakpoints=np.array([100.0, 150.0]), speeds=np.array([12.0, 15.0]))
+            scenario = Scenario(road=curved_crossfall_grid(), target_speed=speed, l_p=0.3, mu_rs=0.8)
+        mu_eff = scenario.mu_rs * car.mu_tire
+        stiff = replace(car, k_s=34000.0, k_t=380000.0)
+        soft = replace(car, k_s=19000.0, d_t=4500.0)
+        sequence = [(car, car), (stiff, car), (stiff, soft), (soft, stiff), (soft, stiff), (car, car), (soft, stiff)]
+        fresh = [corner_dynamics(drive_plan(scenario, geometry, mu_eff), f, r) for f, r in sequence]
+        calls = []
+        integrate = vehicle.rk4_lti
+
+        def counting_rk4_lti(*args):
+            calls.append(1)
+            return integrate(*args)
+
+        monkeypatch.setattr(vehicle, "rk4_lti", counting_rk4_lti)
+        plan = drive_plan(scenario, geometry, mu_eff)
+        assert plan.same_sides == uniform
+        wheels_per_axle = 1 if uniform else 2
+        expected, last = 0, (None, None)
+        for (front, rear), reference in zip(sequence, fresh):
+            run = corner_dynamics(plan, front, rear)
+            for name in self.CHANNELS:
+                assert np.array_equal(run.channel(name).values, reference.channel(name).values), name
+            expected += wheels_per_axle * ((front != last[0]) + (rear != last[1]))
+            last = (front, rear)
+            assert len(calls) == expected
+        assert expected == wheels_per_axle * 10
+
+    def test_held_plan_returns_no_kept_array(self, car, geometry):
+        scenario = Scenario(road=curved_crossfall_grid(), target_speed=15.0)
+        plan = drive_plan(scenario, geometry, car.mu_tire)
+        stiff = replace(car, k_s=34000.0)
+        reference = corner_dynamics(drive_plan(scenario, geometry, car.mu_tire), car, stiff)
+        first = corner_dynamics(plan, car, stiff)
+        for name in self.CHANNELS:
+            values = first.channel(name).values
+            if name in ("az", "phi_rate", "theta_rate"):
+                values *= -3.0
+                values += 1.0
+            else:  # the plan's own channels
+                with pytest.raises(ValueError, match="read-only"):
+                    values += 1.0
+        hit = corner_dynamics(plan, car, stiff)
+        for name in self.CHANNELS:
+            assert np.array_equal(hit.channel(name).values, reference.channel(name).values), name
+
     def test_right_wheel_off_a_uniform_grid_fails(self, car, geometry):
         # only the left track is read, but the right wheel must lie on the road
         grid = straight_grid(np.zeros(200), 0.5, lateral_span=2.0)
