@@ -8,19 +8,21 @@ The classical Runge-Kutta update for ``x' = A x + B u(t)`` with constant
 whose matrices are polynomials in ``dt A``.  In the Schur basis of ``A``
 (``A = Q T Q^H``, ``Q`` unitary, ``T`` upper triangular) ``Phi`` is upper
 triangular with the RK4 stability polynomial of ``z = dt * lambda`` on its
-diagonal, one entry per eigenmode.  The trajectory is then one first-order
-filter per mode, solved from the last mode up, instead of a Python loop.  The
-basis is unitary, so the modal coordinates are no larger than the state and
-their rounding is not amplified, however close ``Phi`` is to the identity or
-the eigenvectors are to each other.  Both paths produce the same iterates (up
-to float rounding); the loop remains as the reference in the test suite.
+diagonal, one entry per eigenmode.  Each mode's recursion
+``y[k+1] = p y[k] + d[k]`` is a unit lower-bidiagonal system, solved by one
+LAPACK banded triangular solve per mode, from the last mode up, instead of a
+Python loop.  The basis is unitary, so the modal coordinates are no larger
+than the state and their rounding is not amplified, however close ``Phi`` is
+to the identity or the eigenvectors are to each other.  Both paths produce
+the same iterates (up to float rounding); the loop remains as the reference
+in the test suite.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import schur
-from scipy.signal import lfilter
+from scipy.linalg.lapack import ztbtrs
 
 from .errors import NumericFailure
 
@@ -147,9 +149,18 @@ def rk4_lti(A, B, u_half: np.ndarray, dt: float, x0) -> np.ndarray:
         w = w.view(complex)  # (N, n) modal inputs
         ys = np.empty((n_steps + 1, n), dtype=complex)
         ys[0] = Q.conj().T @ x0
+        # Band storage of the unit lower-bidiagonal matrix with -p below the
+        # diagonal; ztbtrs reads no diagonal under diag="U".
+        band = np.ones((2, n_steps), dtype=complex, order="F")
         for i in reversed(range(n)):  # mode i is driven by the modes after it
+            p = phi[i, i]
             drive = w[:, i] + sum(phi[i, j] * ys[:-1, j] for j in range(i + 1, n))
-            ys[1:, i], _ = lfilter([1.0], [1.0, -phi[i, i]], drive, zi=[phi[i, i] * ys[0, i]])
+            drive[0] += p * ys[0, i]
+            band[1] = -p
+            y, info = ztbtrs(band, drive[:, None], uplo="L", diag="U", overwrite_b=1)
+            if info != 0:
+                raise NumericFailure(f"modal recursion solve failed (LAPACK info {info})")
+            ys[1:, i] = y[:, 0]
         states = _blocked_matmul(ys.view(float), _interleaved(Q.conj()).T)  # Re(ys @ Q.T)
     states[0] = x0
     if not np.all(np.isfinite(states)) or np.max(np.abs(states)) > 1e9:

@@ -19,7 +19,6 @@ from importlib import resources
 from typing import NamedTuple
 
 import numpy as np
-from scipy.signal import bilinear, sosfilt
 
 from .errors import FilterDesignError, InvalidInput
 from .signals import TimeSeries, VehicleResponse
@@ -198,6 +197,10 @@ def _analog_stages(spec: FilterSpec) -> list[tuple[str, float, list[float], list
 
 
 def _design(spec: FilterSpec, sample_rate: float) -> np.ndarray:
+    # scipy.signal (and the scipy.stats it loads) costs a fresh process about
+    # 0.3 s, so it is imported only where a weighting is designed or applied.
+    from scipy.signal import bilinear
+
     if sample_rate <= 0:
         raise FilterDesignError("sample_rate must be > 0")
     stages = _analog_stages(spec)
@@ -232,6 +235,8 @@ def weight_signal(a: TimeSeries, spec: FilterSpec) -> WeightedResult:
     The filter starts from zero state; at least one second of signal is
     required for the RMS to be meaningful.
     """
+    from scipy.signal import sosfilt
+
     if a.duration < 1.0:
         raise InvalidInput("signal must cover at least 1 s")
     # sosfilt takes only writable coefficients; the shared design is read-only

@@ -164,10 +164,7 @@ class RoadGrid:
 
     def check_offset(self, v) -> None:
         """Raise :class:`DomainBoundsError` for lateral offsets outside the columns."""
-        lo, hi = self.lateral_offsets[0], self.lateral_offsets[-1]
-        v = np.asarray(v, dtype=float)
-        if np.any(v < lo - 1e-9) or np.any(v > hi + 1e-9):
-            raise DomainBoundsError(f"lateral offset query outside [{lo}, {hi}]")
+        _check_range(v, self.lateral_offsets[0], self.lateral_offsets[-1], "lateral offset")
 
     def surface(self, params: SmoothingParams | None = None) -> SurfaceInterpolator:
         """The smoothed surface of this grid under ``params``, built on first use."""
@@ -293,6 +290,13 @@ def _clean_grid(elevations: np.ndarray, ref_elevation: np.ndarray) -> tuple[np.n
 # ---------------------------------------------------------------------------
 
 
+def _check_range(values, lo, hi, what: str) -> None:
+    """Raise :class:`DomainBoundsError` for ``values`` outside ``[lo, hi]`` (1e-9 slack)."""
+    values = np.asarray(values, dtype=float)
+    if np.any(values < lo - 1e-9) or np.any(values > hi + 1e-9):
+        raise DomainBoundsError(f"{what} query outside [{lo}, {hi}]")
+
+
 class SurfaceInterpolator:
     """Cubic (smoothing) spline surface over one grid.
 
@@ -303,11 +307,14 @@ class SurfaceInterpolator:
     """
 
     def __init__(self, grid: RoadGrid, params: SmoothingParams | None = None):
-        self.grid = grid
         self.params = params or SmoothingParams()
         z = grid.elevations
         stations = grid.stations
         offsets = grid.lateral_offsets
+        # The grid keeps its surfaces, so a surface keeping the grid would
+        # make a reference cycle that only the cyclic collector frees.
+        self._station_range = (stations[0], stations[-1])
+        self._offset_range = (offsets[0], offsets[-1])
         if self.params.lambda_x > 0 and len(stations) >= _MIN_SMOOTHING_NODES:
             z = make_smoothing_spline(stations, z, lam=self.params.lambda_x, axis=0)(stations)
         if self.params.lambda_y > 0 and len(offsets) >= _MIN_SMOOTHING_NODES:
@@ -317,13 +324,8 @@ class SurfaceInterpolator:
         self._surface = RectBivariateSpline(stations, offsets, z, kx=kx, ky=ky, s=0)
 
     def _check_hull(self, s, v) -> None:
-        g = self.grid
-        s = np.asarray(s, dtype=float)
-        if np.any(s < g.stations[0] - 1e-9) or np.any(s > g.stations[-1] + 1e-9):
-            raise DomainBoundsError(
-                f"station query outside [{g.stations[0]}, {g.stations[-1]}]"
-            )
-        g.check_offset(v)
+        _check_range(s, *self._station_range, "station")
+        _check_range(v, *self._offset_range, "lateral offset")
 
     def at(self, s, v):
         """Surface elevation at station(s) ``s`` and lateral offset(s) ``v``."""

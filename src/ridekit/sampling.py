@@ -102,10 +102,6 @@ class SamplePlan:
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def m(self) -> int:
-        return self.matrix.shape[1]
-
     def column(self, name: str) -> np.ndarray:
         return self.matrix[:, self.names.index(name)]
 

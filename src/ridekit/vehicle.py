@@ -209,13 +209,16 @@ def _track_speed(
     cumulative sum of that step's increment, bit-identical to stepping on.
     """
     profile = scenario.target_speed
-    bp = profile.breakpoints
-    vs = profile.speeds
+    # Plain floats: the loop below runs about 3x faster than on np.float64
+    # scalars, with the same bits.
+    bp = profile.breakpoints.tolist()
+    vs = profile.speeds.tolist()
     n_bp = len(bp)
     s_start = float(scenario.road.stations[0])
     s_end = float(scenario.road.stations[-1])
     tau = _CONTROLLER_TAU
-    v_dev = scenario.v_dev
+    v_dev = float(scenario.v_dev)
+    a_lim = float(a_lim)
 
     j = 0
 

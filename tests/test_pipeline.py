@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import ridekit
 from ridekit import iso2631, road, thresholds
 from ridekit.cli import main
 from ridekit.config import check_smoothing_fits, load_config
@@ -549,3 +554,55 @@ class TestSmallCommands:
         assert main(["thresholds", "--trace", str(trace), "--out", str(out)]) == 0
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 10  # header + 3 axes x 3 styles
+
+
+def run_fresh(script, *args):
+    """Run ``script`` in a new interpreter that imports this ``ridekit``; return its last output line."""
+    src = str(Path(ridekit.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
+class TestImportBoundary:
+    """scipy.signal (about 0.3 s to import) loads only where an ISO filter runs."""
+
+    def test_commands_without_iso_filters_never_import_scipy_signal(self, reference_file, class_c_run, tmp_path):
+        config, ref_path, _ = reference_file
+        trace = tmp_path / "trace.csv"
+        write_response_csv(trace, class_c_run)
+        profile = tmp_path / "profile.csv"
+        profile.write_text("station,elevation\n" + "".join(f"{0.1 * k},{0.001 * (k % 3)}\n" for k in range(200)))
+        script = """
+import sys
+from pathlib import Path
+from ridekit import cli, pipeline
+from ridekit.config import load_config
+config, reference, trace, profile, out = sys.argv[1:]
+steps = [
+    ("import", lambda: 0),
+    ("calibrate", lambda: 0 if pipeline.calibrate(load_config(config), reference, Path(out) / "calib").completed else 1),
+    ("iri", lambda: cli.main(["iri", "--profile", profile, "--segment", "5", "--out", str(Path(out) / "iri.csv")])),
+    ("thresholds", lambda: cli.main(["thresholds", "--trace", trace, "--out", str(Path(out) / "bands.csv")])),
+]
+print([(name, step(), "scipy.signal" in sys.modules) for name, step in steps])
+"""
+        seen = run_fresh(script, config, ref_path, trace, profile, tmp_path)
+        assert seen == repr([(name, 0, False) for name in ("import", "calibrate", "iri", "thresholds")])
+
+    def test_iso_command_imports_scipy_signal_on_first_use(self, class_c_run, tmp_path):
+        trace = tmp_path / "trace.csv"
+        write_response_csv(trace, class_c_run)
+        out = tmp_path / "iso.csv"
+        script = """
+import sys
+from ridekit import cli
+before = "scipy.signal" in sys.modules
+code = cli.main(["iso", "--trace", sys.argv[1], "--out", sys.argv[2]])
+print([before, code, "scipy.signal" in sys.modules])
+"""
+        assert run_fresh(script, trace, out) == repr([False, 0, True])
+        assert out.read_text().startswith("ax_w_rms")

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy.interpolate import RectBivariateSpline, make_smoothing_spline
@@ -146,6 +149,19 @@ class TestRoadGrid:
     def test_straight_grid_without_lateral_span_rejected(self):
         with pytest.raises(InvalidInput, match="at least two offsets"):
             straight_grid(np.zeros(20), 0.1, lateral_span=0.0)
+
+    def test_grid_with_a_built_surface_freed_at_del(self):
+        # no reference cycle: reference counting alone frees the grid
+        grid = _bumpy_grid(np.random.default_rng(0))
+        grid.surface(SmoothingParams(lambda_x=0.1))
+        assert grid.laterally_uniform is False
+        freed = weakref.ref(grid)
+        gc.disable()
+        try:
+            del grid
+            assert freed() is None
+        finally:
+            gc.enable()
 
 
 class TestElevationAt:
