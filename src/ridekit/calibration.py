@@ -15,7 +15,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import ConfigError, InvalidInput, OptimizationFailure, ToolkitError
-from .signals import TimeSeries, VehicleResponse, nrmse
+from .signals import TimeSeries, VehicleResponse
 from .vehicle import DrivePlan, QuarterCarParams, Scenario, VehicleGeometry, drive_plan, simulate
 
 __all__ = [
@@ -27,6 +27,7 @@ __all__ = [
     "StageReport",
     "ChainResult",
     "apply_parameters",
+    "channel_error",
     "evaluate_residual",
     "simulation_residual",
     "levenberg_marquardt",
@@ -125,15 +126,28 @@ class Residual:
         return float(v @ v)
 
 
-def _align(sim: TimeSeries, ref: TimeSeries) -> tuple[TimeSeries, TimeSeries]:
-    """Bring a simulated channel onto the reference time grid."""
+def channel_error(sim: TimeSeries, ref: TimeSeries) -> float:
+    """RMS error of a simulated channel against a reference, over the reference's range.
+
+    A simulated channel at another step is interpolated onto the reference's
+    time grid; both are then cut to their shared samples.  The range
+    (max - min) of the compared reference samples makes errors of channels in
+    different units and magnitudes comparable; a reference that is constant
+    over them is rejected.
+    """
+    sim_values = sim.values
     if abs(sim.dt - ref.dt) > 1e-12 * max(sim.dt, ref.dt):
-        values = np.interp(ref.t, sim.t, sim.values)
-        sim = TimeSeries(ref.t0, ref.dt, values)
-    n = min(len(sim), len(ref))
+        sim_values = np.interp(ref.t, sim.t, sim_values)
+    n = min(len(sim_values), len(ref))
     if n < 2:
         raise InvalidInput("traces share fewer than two samples")
-    return sim.with_values(sim.values[:n]), ref.with_values(ref.values[:n])
+    ref_values = ref.values[:n]
+    lo = float(np.min(ref_values))
+    hi = float(np.max(ref_values))
+    if hi - lo <= 0.0:
+        raise InvalidInput("reference range is zero over the shared samples")
+    diff = sim_values[:n] - ref_values
+    return float(np.sqrt(np.mean(diff * diff))) / (hi - lo)
 
 
 def evaluate_residual(
@@ -143,19 +157,16 @@ def evaluate_residual(
     reference: Mapping[str, TimeSeries] | VehicleResponse,
     dt: float = 1e-3,
     rear_params: QuarterCarParams | None = None,
-    plan_for: Callable[[float], DrivePlan] | None = None,
+    plan: DrivePlan | None = None,
 ) -> Residual:
-    """Simulate the scenario and stack per-channel NRMSE against a reference.
+    """Simulate the scenario and stack per-channel :func:`channel_error` against a reference.
 
     Channels absent from the reference are skipped and listed, as are channels
     whose reference has no range (a constant signal cannot normalize an
-    error).  ``plan_for`` maps the run's friction ``mu_rs * mu_tire`` to a
-    drive plan of this scenario, geometry and ``dt``; without it the plan is
-    built afresh.
+    error).  ``plan`` is passed on to :func:`~ridekit.vehicle.simulate`.
     """
     if isinstance(reference, VehicleResponse):
         reference = {name: reference.channel(name) for name in COMPARISON_CHANNELS}
-    plan = plan_for(scenario.mu_rs * params.mu_tire) if plan_for is not None else None
     sim = simulate(scenario, params, geometry, dt=dt, rear_params=rear_params, plan=plan)
     channel_nrmse: dict[str, float] = {}
     skipped: list[tuple[str, str]] = []
@@ -167,8 +178,7 @@ def evaluate_residual(
         if np.ptp(ref_ch.values) <= 0.0:
             skipped.append((name, "reference has zero range"))
             continue
-        sim_ch, ref_ch = _align(sim.channel(name), ref_ch)
-        channel_nrmse[name] = nrmse(sim_ch, ref_ch)
+        channel_nrmse[name] = channel_error(sim.channel(name), ref_ch)
     if not channel_nrmse:
         raise InvalidInput("no overlapping channels between simulation and reference")
     return Residual(channel_nrmse=channel_nrmse, skipped=skipped)
@@ -181,27 +191,23 @@ def simulation_residual(
     base_front: QuarterCarParams,
     base_rear: QuarterCarParams,
     dt: float = 1e-3,
-) -> Callable[[Mapping[str, float]], np.ndarray]:
-    """Residual-vector function over named calibration parameters.
+) -> Callable[[Mapping[str, float]], Residual]:
+    """Residual function over named calibration parameters.
 
     Only ``mu_tire`` changes the drive plan, so the function holds one plan
     and rebuilds it when the friction of an evaluation differs from the
     plan's.
     """
-    current: DrivePlan | None = None
+    plan: DrivePlan | None = None
 
-    def plan_for(mu_eff: float) -> DrivePlan:
-        nonlocal current
-        if current is None or current.mu_eff != mu_eff:
-            current = None  # drop the old plan first, so at most one is held
-            current = drive_plan(scenario, geometry, mu_eff, dt)
-        return current
-
-    def residual(values: Mapping[str, float]) -> np.ndarray:
+    def residual(values: Mapping[str, float]) -> Residual:
+        nonlocal plan
         front, rear = apply_parameters(base_front, base_rear, values)
-        return evaluate_residual(
-            front, scenario, geometry, reference, dt=dt, rear_params=rear, plan_for=plan_for
-        ).vector
+        mu_eff = scenario.mu_rs * front.mu_tire
+        if plan is None or plan.mu_eff != mu_eff:
+            plan = None  # drop the old plan first, so at most one is held
+            plan = drive_plan(scenario, geometry, mu_eff, dt)
+        return evaluate_residual(front, scenario, geometry, reference, dt=dt, rear_params=rear, plan=plan)
 
     return residual
 
@@ -416,7 +422,7 @@ def run_chain(
             result = levenberg_marquardt(
                 stage_residual, start, lo, hi, tol=tol, max_iter=max_iter
             )
-        except (OptimizationFailure, ToolkitError) as exc:
+        except ToolkitError as exc:
             return ChainResult(params=current, stage_reports=reports, completed=False, failure=str(exc))
         current.update(zip(stage, result.params))
         reports.append(

@@ -178,6 +178,8 @@ def _load_config(path, seed: int | None, out_dir: str | None, methods: tuple[str
         synth = road["synthetic"]
         _check_keys(synth, {"length", "step", "roughness_class", "lateral_span", "offset_step", "patch"}, "road.synthetic")
         length = float(_require(synth, "length", "road.synthetic"))
+        if not np.isfinite(length):
+            raise ConfigError("road.synthetic.length must be finite")
         step = float(synth.get("step", 0.1))
         if not (step > 0):
             raise ConfigError("road.synthetic.step must be > 0")
@@ -188,6 +190,15 @@ def _load_config(path, seed: int | None, out_dir: str | None, methods: tuple[str
             _check_keys(patch, {"start", "length", "roughness_class"}, "road.synthetic.patch")
             pklass = str(_require(patch, "roughness_class", "road.synthetic.patch")).upper()
             _one_of(pklass, ROUGHNESS_PSD_SCALE, "road.synthetic.patch.roughness_class")
+            start = float(_require(patch, "start", "road.synthetic.patch"))
+            end = start + float(_require(patch, "length", "road.synthetic.patch"))
+            if not np.isfinite(end):
+                raise ConfigError("road.synthetic.patch.start and length must be finite")
+            # the rows of the synthesized profile the patch replaces
+            i0, i1 = int(round(start / step)), int(round(end / step))
+            if not (0 <= i0 < i1 <= int(round(length / step))):
+                raise ConfigError("road.synthetic.patch lies outside the road")
+            patch = {"roughness_class": pklass, "rows": (i0, i1)}
         lateral_span = float(synth.get("lateral_span", 2.0))
         offset_step = float(synth.get("offset_step", 0.5))
         if not (offset_step > 0):

@@ -35,13 +35,8 @@ def build_road(cfg: PipelineConfig) -> road.RoadGrid:
     profile = road.synth_profile(spec["length"], spec["step"], spec["roughness_class"], cfg.seed)
     patch = spec.get("patch")
     if patch is not None:
-        start = float(patch["start"])
-        length = float(patch["length"])
         rough = road.synth_profile(spec["length"], spec["step"], patch["roughness_class"], cfg.seed)
-        i0 = int(round(start / spec["step"]))
-        i1 = int(round((start + length) / spec["step"]))
-        if not (0 <= i0 < i1 <= len(profile)):
-            raise ConfigError("road.synthetic.patch lies outside the road")
+        i0, i1 = patch["rows"]
         profile = profile.copy()
         profile[i0:i1] = rough[i0:i1]
     # close the track with the periodic wrap sample so the stations span the
@@ -232,20 +227,17 @@ def calibrate(cfg: PipelineConfig, reference_path, out_dir) -> calib_mod.ChainRe
         p0 = dict(zip(names, constraints.midpoint(names)))
     base_front, base_rear = calib_mod.apply_parameters(cfg.front, cfg.rear, p0)
 
+    # the report's before and after points reuse the plan the chain's function holds
     residual_fn = calib_mod.simulation_residual(
         scenario, cfg.geometry, reference, base_front, base_rear, dt=cfg.dt
     )
-    before = calib_mod.evaluate_residual(
-        base_front, scenario, cfg.geometry, reference, dt=cfg.dt, rear_params=base_rear
-    )
+    before = residual_fn(p0)
     result = calib_mod.run_chain(
-        chain, p0, residual_fn,
+        chain, p0, lambda values: residual_fn(values).vector,
         constraints=constraints, tol=cfg.calibration_tol, max_iter=cfg.calibration_max_iter,
     )
-    front, rear = calib_mod.apply_parameters(cfg.front, cfg.rear, result.params)
-    after = calib_mod.evaluate_residual(
-        front, scenario, cfg.geometry, reference, dt=cfg.dt, rear_params=rear
-    )
+    after = residual_fn(result.params)
+    rows = _ref_opt_rows(before, after)
 
     report = {
         "completed": result.completed,
@@ -263,11 +255,11 @@ def calibrate(cfg: PipelineConfig, reference_path, out_dir) -> calib_mod.ChainRe
             }
             for sr in result.stage_reports
         ],
-        "channel_nrmse": _ref_opt_rows(before, after),
+        "channel_nrmse": rows,
         "skipped_channels": [list(item) for item in after.skipped],
     }
     _write(out_dir, "calibration_report.json", json.dumps(report, indent=2, sort_keys=True) + "\n", outputs)
-    _write(out_dir, "calibration_table.csv", _ref_opt_csv(before, after), outputs)
+    _write(out_dir, "calibration_table.csv", _ref_opt_csv(rows), outputs)
     _write_manifest(out_dir, cfg, outputs)
     return result
 
@@ -282,10 +274,10 @@ def _ref_opt_rows(before: calib_mod.Residual, after: calib_mod.Residual) -> dict
     return rows
 
 
-def _ref_opt_csv(before: calib_mod.Residual, after: calib_mod.Residual) -> str:
+def _ref_opt_csv(rows: dict) -> str:
     buf = io.StringIO()
     buf.write("channel,nrmse_ref,nrmse_opt,improvement_percent\n")
-    for name, row in _ref_opt_rows(before, after).items():
+    for name, row in rows.items():
         opt = "" if row["opt"] is None else f"{row['opt']:.6e}"
         change = "" if row["improvement_percent"] is None else f"{row['improvement_percent']:.4f}"
         buf.write(f"{name},{row['ref']:.6e},{opt},{change}\n")

@@ -102,9 +102,6 @@ class SamplePlan:
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    def column(self, name: str) -> np.ndarray:
-        return self.matrix[:, self.names.index(name)]
-
     def row_inputs(self, i: int) -> dict[str, float]:
         return {name: float(self.matrix[i, j]) for j, name in enumerate(self.names)}
 

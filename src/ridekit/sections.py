@@ -93,12 +93,6 @@ class SectionReport:
     total_windows: int
     rows: list[SectionRow]
 
-    def row(self, category: str) -> SectionRow:
-        for row in self.rows:
-            if row.category == category:
-                return row
-        raise KeyError(f"no category {category!r} in {self.method} report")
-
     def to_csv_text(self) -> str:
         buf = io.StringIO()
         buf.write("category,C,R_c,N,R_n\n")

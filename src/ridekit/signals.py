@@ -1,4 +1,4 @@
-"""Uniformly sampled trace containers, error metrics, and the time-to-space transform.
+"""Uniformly sampled trace containers and the time-to-space transform.
 
 Everything downstream (classification, calibration, reporting) consumes the three
 containers defined here: :class:`TimeSeries` for a single channel, a
@@ -21,8 +21,6 @@ __all__ = [
     "SpaceSeries",
     "CHANNEL_NAMES",
     "AGGREGATORS",
-    "rmse",
-    "nrmse",
     "to_space",
     "aggregate",
     "uniform_grid",
@@ -90,13 +88,6 @@ class TimeSeries:
         return replace(self, values=values)
 
 
-def _check_compatible(a: TimeSeries, b: TimeSeries) -> None:
-    if len(a) != len(b):
-        raise DimensionMismatch(f"length mismatch: {len(a)} vs {len(b)}")
-    if abs(a.dt - b.dt) > 1e-12 * max(a.dt, b.dt):
-        raise DimensionMismatch(f"step mismatch: {a.dt} vs {b.dt}")
-
-
 @dataclass(frozen=True)
 class VehicleResponse:
     """Multichannel body-dynamics trace of one simulated or measured run.
@@ -136,10 +127,6 @@ class VehicleResponse:
     @property
     def dt(self) -> float:
         return self.v_x.dt
-
-    @property
-    def duration(self) -> float:
-        return self.v_x.duration
 
     def channels(self) -> dict[str, TimeSeries]:
         """All channels keyed by CSV column name."""
@@ -200,27 +187,6 @@ def uniform_step(x: np.ndarray, message: str) -> float:
     if step <= 0 or np.max(np.abs(np.diff(x) - step)) > 1e-6 * step:
         raise InvalidInput(message)
     return step
-
-
-def rmse(predicted: TimeSeries, reference: TimeSeries) -> float:
-    """Root mean square error between two equally sampled series."""
-    _check_compatible(predicted, reference)
-    diff = predicted.values - reference.values
-    return float(np.sqrt(np.mean(diff * diff)))
-
-
-def nrmse(predicted: TimeSeries, reference: TimeSeries) -> float:
-    """RMSE normalized by the reference range (max - min).
-
-    The range normalization makes errors of channels with different physical
-    units and magnitudes comparable.  A constant reference has no range and is
-    rejected.
-    """
-    lo = float(np.min(reference.values))
-    hi = float(np.max(reference.values))
-    if hi - lo <= 0.0:
-        raise InvalidInput("reference range is zero; nrmse undefined")
-    return rmse(predicted, reference) / (hi - lo)
 
 
 def to_space(run: VehicleResponse, channel: str, ds: float) -> SpaceSeries:

@@ -208,7 +208,7 @@ def test_criterion_07_lhs_stratification():
         assert sorted(strata) == list(range(n)), dist.name
 
     shifted = lhs(default_input_distributions(v_dev_mean=-5.0), n=n, seed=3)
-    assert np.all(shifted.column("v_dev") < -3.8)
+    assert np.all(shifted.matrix[:, shifted.names.index("v_dev")] < -3.8)
     elapsed = _elapsed_ok(t0, 1.0)
     print(PASS.format(7, f"exact strata occupancy and shifted-site sampling ({elapsed:.2f}s)"))
 
@@ -226,10 +226,10 @@ def test_criterion_08_calibration_recovery(geometry):
 
     front, rear = apply_parameters(base, base, truth)
     reference = simulate(scenario, front, geometry, dt=1e-3, rear_params=rear)
-    assert reference.duration > 55.0
+    assert reference.v_x.duration > 55.0
 
     residual_fn = simulation_residual(scenario, geometry, reference, base, base, dt=1e-3)
-    result = run_chain(chain, p0, residual_fn, constraints, tol=1e-12, max_iter=60)
+    result = run_chain(chain, p0, lambda values: residual_fn(values).vector, constraints, tol=1e-12, max_iter=60)
     assert result.completed, result.failure
     for name in names:
         rel = abs(result.params[name] - truth[name]) / abs(truth[name])

@@ -198,7 +198,7 @@ class TestHeldPlan:
             for values in points:
                 front, rear = apply_parameters(base, base, values)
                 direct = evaluate_residual(front, scenario, geometry, reference, dt=1e-3, rear_params=rear)
-                assert np.array_equal(residual(values), direct.vector), values
+                assert np.array_equal(residual(values).vector, direct.vector), values
 
     def test_chain_runs_speed_loop_only_when_friction_changes(self, calib_setup, geometry, monkeypatch):
         scenario, base, _, reference = calib_setup
@@ -219,7 +219,7 @@ class TestHeldPlan:
         constraints = BoxConstraints.vehicle_defaults()
         p0 = dict(zip(chain.parameters, constraints.midpoint(chain.parameters)))
         residual = simulation_residual(scenario, geometry, reference, base, base, dt=1e-3)
-        assert run_chain(chain, p0, residual, constraints).completed
+        assert run_chain(chain, p0, lambda values: residual(values).vector, constraints).completed
         # one plan is held: a friction seen before is rebuilt only after another
         # friction came in between (once, where the mu_tire stage hands over)
         changes = 1 + sum(a != b for a, b in zip(frictions, frictions[1:]))
@@ -234,7 +234,7 @@ class TestRecovery:
         constraints = BoxConstraints.vehicle_defaults()
         lo, hi = constraints.arrays(("k_tire",))
         out = levenberg_marquardt(
-            lambda v: residual({"k_tire": float(v[0])}), constraints.midpoint(("k_tire",)), lo, hi,
+            lambda v: residual({"k_tire": float(v[0])}).vector, constraints.midpoint(("k_tire",)), lo, hi,
             tol=1e-14, max_iter=40,
         )
         assert abs(out.params[0] - truth_values["k_tire"]) / truth_values["k_tire"] < 0.02

@@ -21,10 +21,13 @@ from ridekit.signals import read_response_csv, write_response_csv
 from ridekit.vehicle import Scenario, default_car, default_geometry, simulate
 
 
+ROAD_B = {"length": 200.0, "step": 0.1, "roughness_class": "B"}
+
+
 def write_config(path, **overrides):
     doc = {
         "seed": 7,
-        "road": {"synthetic": {"length": 200.0, "step": 0.1, "roughness_class": "B"}},
+        "road": {"synthetic": dict(ROAD_B)},
         "scenario": {"target_speed_kmh": 54.0},
         "batch": {"n": 3, "dt": 0.002},
         "analysis": {"window_m": 5.0, "ds": 0.1},
@@ -160,13 +163,17 @@ class TestConfig:
             ("analysis", {"k_factors": [-2.0, 1.0, 1.0]}),
             ("road", {"smoothing": {"lambda_x": float("nan")}}),
             ("road", {"smoothing": {"lambda_y": float("inf")}}),
+            ("road", {"synthetic": {**ROAD_B, "length": float("inf")}}),
+            ("road", {"synthetic": {**ROAD_B, "patch": {"length": 20.0, "roughness_class": "E"}}}),
+            ("road", {"synthetic": {**ROAD_B, "patch": {"start": "near the end", "length": 20.0, "roughness_class": "E"}}}),
+            ("road", {"synthetic": {**ROAD_B, "patch": {"start": 190.0, "length": 20.0, "roughness_class": "E"}}}),
         ],
         ids=[
             "aggregator", "iso_reduction", "ds", "weightings", "dt", "segment_m", "speed_kmh", "window_below_ds",
             "segment_below_step", "step", "iri_step", "segment_beyond_road", "one_interpolated_segment",
             "iri_step_grid_file", "window_beyond_road", "offset_step", "lateral_span",
             "lateral_span_inf", "bands_incomplete", "bands_sign", "bands_columns", "k_nan", "k_negative",
-            "lambda_x_nan", "lambda_y_inf",
+            "lambda_x_nan", "lambda_y_inf", "length_inf", "patch_missing_start", "patch_non_numeric", "patch_outside",
         ],
     )
     def test_bad_setting_fails_before_any_output(self, tmp_path, monkeypatch, capsys, section, entry):
@@ -449,6 +456,42 @@ class TestCalibrateCommand:
         assert improvement is not None and improvement >= 0.0
         assert report["completed"] is True
         assert report["stages"][0]["parameters"] == ["k_tire"]
+
+    def test_report_reuses_the_chains_drive_plan(self, reference_file, tmp_path, monkeypatch):
+        # the report's before and after points add no speed-loop run to the
+        # one plan per friction change that the chain's own evaluations need
+        from ridekit import calibration, vehicle
+
+        config, ref_path, _ = reference_file
+        doc = yaml.safe_load(config.read_text())
+        doc["calibration"] = {"stages": [["mu_tire"], ["k_tire"]], "max_iter": 10}
+        path = tmp_path / "c.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        in_chain, frictions, loops = [], [], []
+        run_chain, simulate, track_speed = calibration.run_chain, calibration.simulate, vehicle._track_speed
+
+        def marking_run_chain(*args, **kwargs):
+            in_chain.append(True)
+            try:
+                return run_chain(*args, **kwargs)
+            finally:
+                in_chain.pop()
+
+        def recording_simulate(scenario, params, *args, **kwargs):
+            if in_chain:
+                frictions.append(scenario.mu_rs * params.mu_tire)
+            return simulate(scenario, params, *args, **kwargs)
+
+        def counting_track_speed(*args):
+            loops.append(1)
+            return track_speed(*args)
+
+        monkeypatch.setattr(calibration, "run_chain", marking_run_chain)
+        monkeypatch.setattr(calibration, "simulate", recording_simulate)
+        monkeypatch.setattr(vehicle, "_track_speed", counting_track_speed)
+        assert calibrate(load_config(path), ref_path, tmp_path / "out").completed
+        assert len(set(frictions)) > 1
+        assert len(loops) == 1 + sum(a != b for a, b in zip(frictions, frictions[1:]))
 
     def test_reference_missing_columns_listed(self, reference_file, tmp_path):
         config, ref_path, _ = reference_file

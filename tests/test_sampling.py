@@ -87,7 +87,7 @@ class TestLhs:
 
     def test_shifted_site_yields_negative_deviations(self):
         plan = lhs(default_input_distributions(v_dev_mean=-5.0), n=1000, seed=11)
-        v_dev = plan.column("v_dev")
+        v_dev = plan.matrix[:, plan.names.index("v_dev")]
         assert np.all(v_dev < -3.8)  # mu + 6 sigma
 
     def test_invalid_n(self):

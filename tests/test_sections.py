@@ -136,13 +136,13 @@ class TestIriWindows:
         series = SpaceSeries(0.0, 0.1, np.full(1000, 3.0))
         out = classify_windows_iri(series, 80.0 / 3.6, 5.0)
         assert set(out.labels) == {"M"}
-        assert out.report.row("M").c == out.report.total_windows
+        assert {row.category: row.c for row in out.report.rows}["M"] == out.report.total_windows
 
     def test_step_profile_counts_high_half(self):
         values = np.concatenate([np.full(500, 1.0), np.full(500, 3.0)])
         series = SpaceSeries(0.0, 0.1, values)
         out = classify_windows_iri(series, 80.0 / 3.6, 5.0)
-        assert out.report.row("M").c == 10  # windows fully inside the rough half
+        assert {row.category: row.c for row in out.report.rows}["M"] == 10  # windows fully inside the rough half
 
     def test_speed_profile_changes_labels(self):
         series = SpaceSeries(0.0, 0.1, np.full(1000, 3.0))
@@ -152,7 +152,7 @@ class TestIriWindows:
     def test_partition_is_exhaustive(self):
         series = SpaceSeries(0.0, 0.1, np.full(777, 2.0))
         out = classify_windows_iri(series, 80.0 / 3.6, 5.0)
-        labelled = sum(out.report.row(cat).c for cat in ("G", "F", "M", "P"))
+        labelled = sum(row.c for row in out.report.rows if row.category in ("G", "F", "M", "P"))
         vg = sum(1 for lab in out.labels if lab == "VG")
         assert labelled + vg == out.report.total_windows
 

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ridekit.calibration import channel_error
 from ridekit.errors import DimensionMismatch, InvalidInput
 from ridekit.signals import (
     SpaceSeries,
     TimeSeries,
     aggregate,
-    nrmse,
     read_reference_csv,
     read_response_csv,
-    rmse,
     to_space,
     write_response_csv,
 )
@@ -52,56 +53,89 @@ class TestContainers:
 
 
 class TestRmse:
+    """The numerator of the channel error: against a unit-range reference it is the plain RMS error."""
+
     def test_identity(self):
-        a = ts([1.0, -2.0, 3.0])
-        assert rmse(a, a) == 0.0
+        a = ts([1.0, 0.0, 0.5])
+        assert channel_error(a, a) == 0.0
 
     def test_constant_offset(self):
-        ref = ts([0.0, 1.0, 4.0])
-        pred = ts([2.0, 3.0, 6.0])
-        assert rmse(pred, ref) == pytest.approx(2.0)
+        ref = ts([0.0, 1.0, 0.25])
+        pred = ts([2.0, 3.0, 2.25])
+        assert channel_error(pred, ref) == pytest.approx(2.0)
 
     def test_hand_arithmetic(self):
-        # sqrt(((1-1)^2 + (2-2)^2 + (3-5)^2) / 3) = sqrt(4/3)
-        assert rmse(ts([1, 2, 3]), ts([1, 2, 5])) == pytest.approx(1.1547005383792515)
+        # sqrt(((1-1)^2 + (1.5-1)^2 + (3-2)^2) / 3) = sqrt(1.25/3); range 1
+        assert channel_error(ts([1, 1.5, 3]), ts([1, 1, 2])) == pytest.approx(0.6454972243679028)
 
     def test_symmetry(self):
-        a, b = ts([0.0, 2.0, 5.0]), ts([1.0, -1.0, 0.5])
-        assert rmse(a, b) == rmse(b, a)
+        # references of equal range: swapping the roles leaves the error unchanged
+        a, b = ts([0.0, 1.0, 0.5]), ts([1.0, 0.0, 0.75])
+        assert channel_error(a, b) == channel_error(b, a)
 
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            rmse(ts([1, 2]), ts([1, 2, 3]))
+    def test_longer_reference_is_cut(self):
+        # the reference's samples past the simulation are not compared
+        ref = ts([0.0, 1.0, 0.0, 50.0, -50.0])
+        assert channel_error(ts([0.0, 1.0, 0.5]), ref) == pytest.approx(np.sqrt(0.25 / 3))
 
-    def test_step_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            rmse(ts([1, 2], dt=0.1), ts([1, 2], dt=0.2))
+    def test_different_step_is_resampled(self):
+        # a ramp at half the reference step, interpolated onto the reference grid, is exact
+        ref = ts(np.linspace(0.0, 1.0, 11), dt=0.1)
+        sim = ts(np.linspace(0.0, 1.0, 21) + 0.2, dt=0.05)
+        assert channel_error(sim, ref) == pytest.approx(0.2, rel=1e-12)
+        assert channel_error(ts(np.linspace(0.0, 1.0, 21), dt=0.05), ref) == pytest.approx(0.0, abs=1e-15)
 
 
 class TestNrmse:
     def test_identity(self):
         a = ts([0.0, 5.0, 10.0])
-        assert nrmse(a, a) == 0.0
+        assert channel_error(a, a) == 0.0
 
     def test_definition(self):
         ref = ts([0.0, 10.0])
         pred = ts([1.0, 11.0])  # rmse 1, range 10
-        assert nrmse(pred, ref) == pytest.approx(0.1)
+        assert channel_error(pred, ref) == pytest.approx(0.1)
 
     def test_hand_arithmetic(self):
         # rmse = sqrt((0 + 4)/2) = sqrt(2); range 2 -> sqrt(2)/2
-        assert nrmse(ts([0.0, 0.0]), ts([0.0, 2.0])) == pytest.approx(0.7071067811865476)
+        assert channel_error(ts([0.0, 0.0]), ts([0.0, 2.0])) == pytest.approx(0.7071067811865476)
 
     def test_zero_range_rejected(self):
         with pytest.raises(InvalidInput):
-            nrmse(ts([1.0, 2.0]), ts([3.0, 3.0]))
+            channel_error(ts([1.0, 2.0]), ts([3.0, 3.0]))
+
+    def test_reference_constant_over_the_shared_samples_rejected(self):
+        # the reference varies only after the simulation ends: its compared range is zero
+        with pytest.raises(InvalidInput):
+            channel_error(ts([1.0, 2.0, 3.0]), ts([3.0, 3.0, 3.0, 4.0, 5.0]))
 
     def test_invariant_under_common_constant(self):
         rng = np.random.default_rng(1)
         ref = ts(rng.normal(size=64))
         pred = ts(rng.normal(size=64))
-        shifted = nrmse(ts(pred.values + 3.7), ts(ref.values + 3.7))
-        assert shifted == pytest.approx(nrmse(pred, ref), rel=1e-12)
+        shifted = channel_error(ts(pred.values + 3.7), ts(ref.values + 3.7))
+        assert shifted == pytest.approx(channel_error(pred, ref), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.lists(
+            st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)), min_size=2, max_size=40
+        ),
+        offset=st.floats(-100.0, 100.0),
+        scale=st.floats(1e-3, 1e3),
+    )
+    def test_invariant_under_common_offset_and_scale(self, data, offset, scale):
+        # Tolerance: 1e-9, relative or absolute.  The reference spans at least
+        # 1 (its first two samples are pinned to 0 and 1).  The worst case is
+        # the smallest scale: moved samples near the offset (|offset| <= 100)
+        # round by about 1e-14, over a moved range of at least 1e-3, so the
+        # error moves by about 1e-11.
+        sim = np.array([a for a, _ in data])
+        ref = np.array([b for _, b in data])
+        ref[:2] = (0.0, 1.0)
+        plain = channel_error(ts(sim), ts(ref))
+        moved = channel_error(ts(scale * sim + offset), ts(scale * ref + offset))
+        assert moved == pytest.approx(plain, rel=1e-9, abs=1e-9)
 
 
 class TestToSpace:
