@@ -135,7 +135,9 @@ def _cmd_thresholds(args) -> int:
     run = signals.read_response_csv(args.trace)
     bands = thresholds.load_bands(args.bands_file)
     space = {f"a{axis}": signals.to_space(run, f"a{axis}", args.ds) for axis in thresholds.AXES}
-    _, text = sections.find_critical_bands(space, bands, args.window)
+    # no road here: the windows cover the trace's own space series
+    edges = sections.window_edges(space["ax"].s0, space["ax"].extent, args.window)
+    _, text = sections.find_critical_bands(space, bands, edges)
     _emit(args.out, text)
     return 0
 

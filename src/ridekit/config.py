@@ -30,6 +30,9 @@ __all__ = ["PipelineConfig", "load_config", "check_smoothing_fits", "config_hash
 _TOP_KEYS = {"seed", "out_dir", "road", "scenario", "batch", "analysis", "iri", "vehicle", "calibration"}
 _METHODS = ("threshold", "iso", "iri")
 
+#: Most samples a synthetic road profile may hold: 1,000 km at 0.1 m.
+MAX_PROFILE_SAMPLES = 10**7
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -183,6 +186,10 @@ def _load_config(path, seed: int | None, out_dir: str | None, methods: tuple[str
         step = float(synth.get("step", 0.1))
         if not (step > 0):
             raise ConfigError("road.synthetic.step must be > 0")
+        if not (length >= 10 * step):
+            raise ConfigError("road.synthetic.length must be at least 10 * step")
+        if round(length / step) > MAX_PROFILE_SAMPLES:
+            raise ConfigError(f"road.synthetic length / step exceeds {MAX_PROFILE_SAMPLES:.0e} profile samples")
         klass = str(_require(synth, "roughness_class", "road.synthetic")).upper()
         _one_of(klass, ROUGHNESS_PSD_SCALE, "road.synthetic.roughness_class")
         patch = synth.get("patch")

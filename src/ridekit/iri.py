@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import InvalidInput
 from .integrators import half_grid_input, rk4_lti
-from .signals import SpaceSeries, uniform_grid
 from .vehicle import QuarterCarParams, corner_system
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "compute_iri",
     "classify_iri",
     "iri_severity",
-    "interpolate_iri",
 ]
 
 #: Standard measurement speed: 80 km/h.
@@ -169,19 +167,3 @@ def iri_severity(label: str) -> int:
     """Index of a ride-quality label in severity order (VG lowest)."""
     return RIDE_QUALITY_LABELS.index(label)
 
-
-def interpolate_iri(stations: np.ndarray, values: np.ndarray, ds: float = 0.1) -> SpaceSeries:
-    """Linearly interpolate sparse index samples onto a uniform grid.
-
-    Endpoint samples are reproduced exactly; at least two samples are needed.
-    """
-    stations = np.asarray(stations, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if stations.ndim != 1 or stations.shape != values.shape:
-        raise InvalidInput("stations and values must be equal-length 1-D arrays")
-    if len(stations) < 2:
-        raise InvalidInput("need at least two index samples to interpolate")
-    if np.any(np.diff(stations) <= 0):
-        raise InvalidInput("stations must be strictly increasing")
-    grid = uniform_grid(stations[0], stations[-1] - stations[0], ds)
-    return SpaceSeries(s0=float(stations[0]), ds=ds, values=np.interp(grid, stations, values))

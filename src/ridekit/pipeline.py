@@ -101,6 +101,9 @@ def analyze(cfg: PipelineConfig, out_dir) -> dict:
         raise ConfigError(f"analysis.window_m {cfg.window_m:g} m is longer than the {grid.length:g} m road")
     if "iri" in cfg.methods:
         _check_iri_fits(cfg, grid)
+    # the one window partition every method reports on
+    edges = sections.window_edges(float(grid.stations[0]), grid.length, cfg.window_m)
+    centers = 0.5 * (edges[:-1] + edges[1:])
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs: dict[str, str] = {}
@@ -126,18 +129,15 @@ def analyze(cfg: PipelineConfig, out_dir) -> dict:
     _write(out_dir, "space_signals.csv", text, outputs)
 
     if "threshold" in cfg.methods:
-        reports, text = sections.find_critical_bands(space, cfg.bands, cfg.window_m)
+        reports, text = sections.find_critical_bands(space, cfg.bands, edges)
         _write(out_dir, "threshold_report.csv", text, outputs)
         tables.append(sections.threshold_table(reports))
         summary["reports"]["threshold"] = reports
 
     if "iso" in cfg.methods:
         weightings = {axis: iso2631.load_weighting(w) for axis, w in cfg.weightings.items()}
-        iso_windows = sections.classify_windows_iso(
-            runs, cfg.window_m, weightings, cfg.k_factors, cfg.iso_reduction
-        )
+        iso_windows = sections.classify_windows_iso(runs, edges, weightings, cfg.k_factors, cfg.iso_reduction)
         _write(out_dir, "iso_report.csv", iso_windows.report.to_csv_text(), outputs)
-        centers = 0.5 * (iso_windows.edges[:-1] + iso_windows.edges[1:])
         rows = zip(centers, iso_windows.a_v, iso_windows.labels)
         text = "s_center,a_v,label\n" + "".join(f"{s:.3f},{a_v:.6e},{label}\n" for s, a_v, label in rows)
         _write(out_dir, "iso_windows.csv", text, outputs)
@@ -154,9 +154,8 @@ def analyze(cfg: PipelineConfig, out_dir) -> dict:
         )
         iri_series = _iri_space_series(results, grid, cfg)
         speed_series = _space_signal(runs, "vx", cfg.ds, "mean")
-        iri_windows = sections.classify_windows_iri(iri_series, speed_series, cfg.window_m)
+        iri_windows = sections.classify_windows_iri(iri_series, speed_series, edges)
         _write(out_dir, "iri_report.csv", iri_windows.report.to_csv_text(), outputs)
-        centers = 0.5 * (iri_windows.edges[:-1] + iri_windows.edges[1:])
         rows = zip(centers, iri_windows.iri, iri_windows.speed_kmh, iri_windows.labels)
         lines = (f"{s:.3f},{value:.6e},{kmh:.3f},{label}\n" for s, value, kmh, label in rows)
         text = "s_center,iri,speed_kmh,label\n" + "".join(lines)
@@ -186,26 +185,27 @@ def _check_iri_fits(cfg: PipelineConfig, grid: road.RoadGrid) -> None:
     n_steps = len(signals.uniform_grid(grid.stations[0], grid.length, step)) - 1
     if n_steps * step < cfg.iri_segment_m:
         raise ConfigError(f"iri.segment_m {cfg.iri_segment_m:g} m is longer than the {n_steps * step:g} m road")
-    if cfg.iri_segment_m > cfg.window_m + 1e-9 and n_steps // per_segment < 2:
-        raise ConfigError("iri.segment_m leaves fewer than two segments; shrink it")
 
 
 def _iri_space_series(results, grid, cfg: PipelineConfig) -> signals.SpaceSeries:
-    """Index values on the analysis grid.
+    """Index values on the analysis grid, from the road start to its end.
 
     Segments at or below the window length map piecewise-constant (each window
-    averages its own segments); coarser segments are interpolated linearly
+    averages its own segments), and the part past the last whole segment
+    keeps that segment's value.  Coarser segments are interpolated linearly
     between segment midpoints, mirroring how sparse measured index samples are
-    densified.
+    densified, and held constant before the first and after the last.
     """
     values = np.array([r.iri for r in results])
     s0 = float(grid.stations[0])
+    positions = signals.uniform_grid(s0, grid.length, cfg.ds)
     if cfg.iri_segment_m <= cfg.window_m + 1e-9:
         per = max(int(round(cfg.iri_segment_m / cfg.ds)), 1)
-        dense = np.repeat(values, per)
-        return signals.SpaceSeries(s0=s0, ds=cfg.ds, values=dense)
-    midpoints = np.array([s0 + r.s_start + 0.5 * r.segment_length for r in results])
-    return iri_mod.interpolate_iri(midpoints, values, cfg.ds)
+        dense = values[np.minimum(np.arange(len(positions)) // per, len(values) - 1)]
+    else:
+        midpoints = np.array([s0 + r.s_start + 0.5 * r.segment_length for r in results])
+        dense = np.interp(positions, midpoints, values)
+    return signals.SpaceSeries(s0=s0, ds=cfg.ds, values=dense)
 
 
 def calibrate(cfg: PipelineConfig, reference_path, out_dir) -> calib_mod.ChainResult:

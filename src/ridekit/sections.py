@@ -1,11 +1,13 @@
 """Critical-section derivation: fixed-length window partition and reports.
 
-The track is split into contiguous, non-overlapping windows of the critical
-length (one car length by default).  A window is critical under the band
-method when every sample inside exceeds the band; under the comfort and
-roughness methods windows carry categorical labels and are counted per
-category.  Counts C/N and ratios R_c/R_n per category mirror the tabular
-report layout used for test-site comparisons.
+The track is split once, by :func:`window_edges`, into contiguous,
+non-overlapping windows of the critical length (one car length by default).
+Every method takes those edges, so window k is the same stretch of road for
+all of them.  A window is critical under the band method when every sample
+inside exceeds the band; under the comfort and roughness methods windows
+carry categorical labels and are counted per category.  Counts C/N and
+ratios R_c/R_n per category mirror the tabular report layout used for
+test-site comparisons.
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ __all__ = [
     "classify_windows_iso",
     "classify_windows_iri",
 ]
-
-DEFAULT_WINDOW_M = 5.0
 
 #: Reductions of per-run total vibration values across a batch.
 ISO_REDUCTIONS = ("mean", "max")
@@ -118,37 +118,37 @@ def _label_rows(labels: list[str], categories) -> list[SectionRow]:
     return rows
 
 
-def find_critical(flag: thresholds.ExceedanceSignal, l_cr: float = DEFAULT_WINDOW_M) -> SectionReport:
-    """Count windows whose samples violate a band.
+def find_critical(flag: thresholds.ExceedanceSignal, edges: np.ndarray) -> SectionReport:
+    """Count the windows between ``edges`` whose samples violate a band.
 
     A window is critical when every one of its samples exceeds the band.
     """
     series = flag.series
-    starts = _window_starts(series.positions, window_edges(series.s0, series.extent, l_cr), 1e-9 * series.ds)
+    starts = _window_starts(series.positions, edges, 1e-9 * series.ds)
     values = np.asarray(series.values, dtype=bool)
     critical = np.logical_and.reduceat(values[: starts[-1]], starts[:-1])
     c = int(critical.sum())
     row = SectionRow(category=flag.label, c=c, n=len(critical) - c, critical_windows=critical)
     return SectionReport(
-        method="threshold", window_length=l_cr, total_windows=len(critical), rows=[row]
+        method="threshold", window_length=float(edges[1] - edges[0]), total_windows=len(critical), rows=[row]
     )
 
 
 def find_critical_bands(
-    space: dict[str, SpaceSeries], bands: dict[tuple[str, str], thresholds.ThresholdBand], l_cr: float
+    space: dict[str, SpaceSeries], bands: dict[tuple[str, str], thresholds.ThresholdBand], edges: np.ndarray
 ) -> tuple[dict[tuple[str, str], SectionReport], str]:
     """Band method over every axis and driving style.
 
     ``space`` maps the channels ``ax``, ``ay`` and ``az`` to space-domain
-    signals.  Returns one report per (axis, style) and their
-    ``axis,style,C,R_c,N,R_n`` CSV text.
+    signals, all cut at the same ``edges``.  Returns one report per (axis,
+    style) and their ``axis,style,C,R_c,N,R_n`` CSV text.
     """
     reports = {}
     lines = ["axis,style,C,R_c,N,R_n\n"]
     for axis in thresholds.AXES:
         for style in thresholds.STYLES:
             flag = thresholds.exceedance(space[f"a{axis}"], bands[(axis, style)])
-            report = reports[(axis, style)] = find_critical(flag, l_cr)
+            report = reports[(axis, style)] = find_critical(flag, edges)
             row = report.rows[0]
             lines.append(f"{axis},{style},{row.c},{row.r_c:.2f},{row.n},{row.r_n:.2f}\n")
     return reports, "".join(lines)
@@ -175,18 +175,20 @@ class IsoWindows:
 
 def classify_windows_iso(
     runs: list[VehicleResponse],
-    l_cr: float = DEFAULT_WINDOW_M,
+    edges: np.ndarray,
     weightings: dict[str, iso2631.FilterSpec] | None = None,
     k_factors: tuple[float, float, float] = (1.0, 1.0, 1.0),
     reduction: str = "mean",
 ) -> IsoWindows:
     """Window-resolved comfort classification across a batch of runs.
 
-    Each run's axis accelerations are frequency weighted over the full trace;
-    the RMS of the weighted signal restricted to a window's time span gives the
-    per-axis value, combined into the total vibration per run and reduced
-    across runs (mean by default, max for worst case).  A window counts under
-    exactly one label.
+    Windows run between ``edges``; a run's window holds its samples at or
+    past the window's start and before the next.  Each run's axis
+    accelerations are frequency weighted over the full trace; the RMS of the
+    weighted signal restricted to a window's time span gives the per-axis
+    value, combined into the total vibration per run and reduced across runs
+    (mean by default, max for worst case).  A window counts under exactly one
+    label.
     """
     if not runs:
         raise InvalidInput("no runs to classify")
@@ -194,9 +196,6 @@ def classify_windows_iso(
         raise InvalidInput("reduction must be 'mean' or 'max'")
     if weightings is None:
         weightings = {axis: iso2631.load_weighting(w) for axis, w in iso2631.DEFAULT_WEIGHTINGS.items()}
-    start = max(float(r.s.values[0]) for r in runs)
-    end = min(float(r.s.values[-1]) for r in runs)
-    edges = window_edges(start, end - start, l_cr)
     n_windows = len(edges) - 1
 
     per_run_av = np.empty((len(runs), n_windows))
@@ -213,7 +212,9 @@ def classify_windows_iso(
 
     labels = [iso2631.classify_iso(value).label for value in a_v]
     rows = _label_rows(labels, iso2631.COMFORT_LABELS[1:])  # NU windows are the non-critical rest
-    report = SectionReport(method="iso2631", window_length=l_cr, total_windows=n_windows, rows=rows)
+    report = SectionReport(
+        method="iso2631", window_length=float(edges[1] - edges[0]), total_windows=n_windows, rows=rows
+    )
     return IsoWindows(edges=edges, a_v=a_v, labels=labels, report=report)
 
 
@@ -231,9 +232,9 @@ class IriWindows:
 def classify_windows_iri(
     iri_series: SpaceSeries,
     speed,
-    l_cr: float = DEFAULT_WINDOW_M,
+    edges: np.ndarray,
 ) -> IriWindows:
-    """Window-resolved ride-quality classification of a roughness-index signal.
+    """Ride-quality classification of a roughness-index signal in the windows between ``edges``.
 
     ``speed`` supplies the travel speed [m/s] used for the speed-dependent
     thresholds: a :class:`SpaceSeries` or a scalar.
@@ -241,7 +242,6 @@ def classify_windows_iri(
     reported (windows below the G band are the non-critical remainder) but
     still appears in the returned labels.
     """
-    edges = window_edges(iri_series.s0, iri_series.extent, l_cr)
     starts = _window_starts(iri_series.positions, edges, 1e-9 * iri_series.ds)
     spans = list(zip(starts[:-1], starts[1:]))
     values = np.asarray(iri_series.values, dtype=float)
@@ -254,5 +254,7 @@ def classify_windows_iri(
     labels = [iri_mod.classify_iri(value, kmh) for value, kmh in zip(iri_win, speed_kmh)]
 
     rows = _label_rows(labels, iri_mod.RIDE_QUALITY_LABELS[1:])  # VG is the unreported remainder
-    report = SectionReport(method="iri", window_length=l_cr, total_windows=len(spans), rows=rows)
+    report = SectionReport(
+        method="iri", window_length=float(edges[1] - edges[0]), total_windows=len(spans), rows=rows
+    )
     return IriWindows(edges=edges, iri=iri_win, speed_kmh=speed_kmh, labels=labels, report=report)

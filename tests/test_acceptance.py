@@ -30,7 +30,7 @@ from ridekit.iri import (
 )
 from ridekit.pipeline import analyze
 from ridekit.sampling import default_input_distributions, lhs
-from ridekit.sections import find_critical
+from ridekit.sections import find_critical, window_edges
 from ridekit.signals import SpaceSeries, TimeSeries
 from ridekit.thresholds import exceedance, load_bands
 from ridekit.vehicle import default_car, simulate
@@ -163,7 +163,7 @@ def test_criterion_05_window_accounting():
     band = load_bands()[("z", "PT")]
     for length_m, expected in ((3025, 605), (1595, 319), (2135, 427)):
         signal = SpaceSeries(0.0, 0.1, np.zeros(length_m * 10))
-        report = find_critical(exceedance(signal, band), 5.0)
+        report = find_critical(exceedance(signal, band), window_edges(0.0, signal.extent, 5.0))
         assert report.total_windows == expected, length_m
         row = report.rows[0]
         assert row.c + row.n == expected

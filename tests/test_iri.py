@@ -12,7 +12,6 @@ from ridekit.iri import (
     RIDE_QUALITY_LABELS,
     classify_iri,
     compute_iri,
-    interpolate_iri,
     iri_severity,
 )
 from ridekit.road import synth_profile
@@ -229,22 +228,3 @@ class TestClassifyIri:
     def test_labels(self):
         assert RIDE_QUALITY_LABELS == ("VG", "G", "F", "M", "P")
 
-
-class TestInterpolate:
-    def test_constant(self):
-        out = interpolate_iri(np.array([0.0, 50.0]), np.array([2.0, 2.0]), ds=1.0)
-        assert np.allclose(out.values, 2.0)
-
-    def test_linear_midpoint(self):
-        out = interpolate_iri(np.array([0.0, 50.0]), np.array([1.0, 3.0]), ds=25.0)
-        assert out.values[1] == pytest.approx(2.0)
-
-    def test_endpoints_reproduced(self):
-        stations = np.array([0.0, 50.0, 100.0])
-        values = np.array([1.0, 4.0, 2.0])
-        out = interpolate_iri(stations, values, ds=50.0)
-        assert out.values[0] == 1.0 and out.values[-1] == 2.0
-
-    def test_single_sample_rejected(self):
-        with pytest.raises(InvalidInput):
-            interpolate_iri(np.array([0.0]), np.array([1.0]))

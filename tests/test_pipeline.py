@@ -14,6 +14,7 @@ from ridekit import iso2631, road, thresholds
 from ridekit.cli import main
 from ridekit.config import check_smoothing_fits, load_config
 from ridekit.errors import ConfigError
+from ridekit.iri import compute_iri
 from ridekit.pipeline import analyze, build_road, calibrate, generate_road
 from ridekit.road import SmoothingParams, load_grid
 from ridekit.sampling import lhs
@@ -22,6 +23,7 @@ from ridekit.vehicle import Scenario, default_car, default_geometry, simulate
 
 
 ROAD_B = {"length": 200.0, "step": 0.1, "roughness_class": "B"}
+SHORT_SYNTHETIC = r"road.synthetic.length must be at least 10 \* step"
 
 
 def write_config(path, **overrides):
@@ -108,24 +110,28 @@ class TestConfig:
         check_smoothing_fits(SmoothingParams(), *counts)
 
     @pytest.mark.parametrize(
-        "penalty, axis, synthetic, grid",
+        "penalty, axis, synthetic, load_message, grid",
         [
             ("lambda_y", "lateral offsets", {"length": 200.0, "step": 0.1, "lateral_span": 0.75, "offset_step": 0.5},
-             lambda: road.straight_grid(np.zeros(2001), 0.1, lateral_span=0.75, offset_step=0.5)),
-            ("lambda_x", "stations", {"length": 0.3, "step": 0.1}, lambda: road.straight_grid(np.zeros(4), 0.1)),
-            ("lambda_z", "profile samples", {"length": 0.3, "step": 0.1}, lambda: road.straight_grid(np.zeros(4), 0.1)),
+             None, lambda: road.straight_grid(np.zeros(2001), 0.1, lateral_span=0.75, offset_step=0.5)),
+            ("lambda_x", "stations", {"length": 0.3, "step": 0.1}, SHORT_SYNTHETIC,
+             lambda: road.straight_grid(np.zeros(4), 0.1)),
+            ("lambda_z", "profile samples", {"length": 0.3, "step": 0.1}, SHORT_SYNTHETIC,
+             lambda: road.straight_grid(np.zeros(4), 0.1)),
         ],
         ids=["lambda_y_four_offsets", "lambda_x_four_stations", "lambda_z_four_samples"],
     )
     def test_smoothing_on_a_short_axis_fails_before_any_output(
-        self, tmp_path, monkeypatch, capsys, penalty, axis, synthetic, grid
+        self, tmp_path, monkeypatch, capsys, penalty, axis, synthetic, load_message, grid
     ):
         # a synthetic road fails at load; the same road as a grid file fails
-        # once it is loaded, before either command makes its output directory
+        # once it is loaded, before either command makes its output directory.
+        # A synthetic road of four stations is shorter than ten steps, which
+        # the load refuses before it looks at the smoothing.
         monkeypatch.chdir(tmp_path)
         message = f"road.smoothing.{penalty} needs at least 5 {axis}; the road has 4"
         synthetic_road = {"synthetic": {"roughness_class": "B", **synthetic}, "smoothing": {penalty: 1.0}}
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ConfigError, match=load_message or message):
             load_config(write_config(tmp_path / "synthetic.yaml", road=synthetic_road))
         road.save_grid("grid.txt", grid())
         path = write_config(tmp_path / "file.yaml", road={"file": "grid.txt", "smoothing": {penalty: 1.0}})
@@ -150,7 +156,6 @@ class TestConfig:
             ("road", {"synthetic": {"length": 200.0, "step": 0.0, "roughness_class": "B"}}),
             ("road", {"synthetic": {"length": 200.0, "step": 0.5, "roughness_class": "B"}}),
             ("iri", {"segment_m": 300.0}),
-            ("iri", {"segment_m": 150.0}),
             ("road", {"synthetic": None, "file": "coarse_grid.txt"}),
             ("analysis", {"window_m": 250.0}),
             ("road", {"synthetic": {"length": 200.0, "step": 0.1, "roughness_class": "B", "offset_step": 0.0}}),
@@ -167,13 +172,17 @@ class TestConfig:
             ("road", {"synthetic": {**ROAD_B, "patch": {"length": 20.0, "roughness_class": "E"}}}),
             ("road", {"synthetic": {**ROAD_B, "patch": {"start": "near the end", "length": 20.0, "roughness_class": "E"}}}),
             ("road", {"synthetic": {**ROAD_B, "patch": {"start": 190.0, "length": 20.0, "roughness_class": "E"}}}),
+            ("road", {"synthetic": {**ROAD_B, "length": -5.0}}),
+            ("road", {"synthetic": {**ROAD_B, "length": 0.5}}),
+            ("road", {"synthetic": {**ROAD_B, "step": 1.0e-12}}),
         ],
         ids=[
             "aggregator", "iso_reduction", "ds", "weightings", "dt", "segment_m", "speed_kmh", "window_below_ds",
-            "segment_below_step", "step", "iri_step", "segment_beyond_road", "one_interpolated_segment",
+            "segment_below_step", "step", "iri_step", "segment_beyond_road",
             "iri_step_grid_file", "window_beyond_road", "offset_step", "lateral_span",
             "lateral_span_inf", "bands_incomplete", "bands_sign", "bands_columns", "k_nan", "k_negative",
             "lambda_x_nan", "lambda_y_inf", "length_inf", "patch_missing_start", "patch_non_numeric", "patch_outside",
+            "negative_length", "length_below_ten_steps", "step_too_fine",
         ],
     )
     def test_bad_setting_fails_before_any_output(self, tmp_path, monkeypatch, capsys, section, entry):
@@ -246,9 +255,8 @@ class TestGenerateRoad:
             tmp_path / "c.yaml",
             road={"synthetic": {"length": 5.0, "step": 1.0, "roughness_class": "A"}},
         )
-        cfg = load_config(path)
-        with pytest.raises(Exception, match="length"):
-            generate_road(cfg, tmp_path / "r.txt")
+        with pytest.raises(ConfigError, match=SHORT_SYNTHETIC):
+            load_config(path)
 
     def test_cli_entry(self, tmp_path, capsys):
         config = write_config(tmp_path / "c.yaml")
@@ -319,12 +327,10 @@ class TestAnalyze:
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
     def test_window_counts_consistent(self, bundle):
-        cfg, out, _ = bundle
+        _, out, _ = bundle
         lines = (out / "iso_report.csv").read_text().strip().splitlines()[1:]
         totals = {int(parts[1]) + int(parts[3]) for parts in (line.split(",") for line in lines)}
         assert len(totals) == 1  # C + N identical across categories
-        # segments no longer than a window: all three methods share the windows
-        assert cfg.iri_segment_m <= cfg.window_m
         centers = {}
         for name in ("iso_windows.csv", "iri_windows.csv"):
             rows = (out / name).read_text().strip().splitlines()[1:]
@@ -334,6 +340,56 @@ class TestAnalyze:
         for row in (out / "threshold_report.csv").read_text().strip().splitlines()[1:]:
             _, _, c, _, n, _ = row.split(",")
             assert int(c) + int(n) == len(centers["iso_windows.csv"])
+
+    @pytest.mark.parametrize(
+        "synthetic, segment_m",
+        [
+            ({"length": 104.95, "step": 0.05, "roughness_class": "C"}, 5.0),
+            ({"length": 100.0, "step": 0.1, "roughness_class": "C"}, 3.0),
+            ({"length": 200.0, "step": 0.1, "roughness_class": "C"}, 50.0),
+        ],
+        ids=["road_past_last_window", "segments_short_of_road_end", "segments_longer_than_window"],
+    )
+    def test_methods_share_one_window_partition(self, tmp_path, synthetic, segment_m):
+        # window k is the same stretch of road for the threshold, ISO and IRI methods
+        path = write_config(
+            tmp_path / "c.yaml",
+            seed=5,
+            road={"synthetic": synthetic},
+            batch={"n": 2, "dt": 0.002},
+            iri={"segment_m": segment_m, "speed_kmh": 80.0},
+        )
+        cfg = load_config(path)
+        out = tmp_path / "out"
+        analyze(cfg, out)
+        centers = {}
+        for name in ("iso_windows.csv", "iri_windows.csv"):
+            rows = (out / name).read_text().strip().splitlines()[1:]
+            centers[name] = [float(row.split(",")[0]) for row in rows]
+        assert centers["iso_windows.csv"] == centers["iri_windows.csv"]
+        windows = len(centers["iso_windows.csv"])
+        assert windows == int(synthetic["length"] // cfg.window_m)
+        assert centers["iso_windows.csv"][0] == pytest.approx(cfg.window_m / 2)  # synthetic roads start at 0
+        for name in ("threshold_report.csv", "iso_report.csv", "iri_report.csv"):
+            for row in (out / name).read_text().strip().splitlines()[1:]:
+                parts = row.split(",")
+                assert int(parts[-4]) + int(parts[-2]) == windows, (name, row)
+
+    def test_one_segment_longer_than_the_windows(self, tmp_path):
+        path = write_config(
+            tmp_path / "c.yaml",
+            road={"synthetic": {"length": 150.0, "step": 0.1, "roughness_class": "C"}},
+            batch={"n": 2, "dt": 0.002},
+            iri={"segment_m": 100.0, "speed_kmh": 80.0},
+        )
+        cfg = load_config(path)
+        summary = analyze(cfg, tmp_path / "out")
+        grid = build_road(cfg)
+        profile = road.wheel_track_profile(grid, 0.0, cfg.smoothing, grid.grid_step)
+        (segment,) = compute_iri(profile, grid.grid_step, speed=80.0 / 3.6, segment_length=100.0)
+        iri_windows = summary["reports"]["iri"]
+        assert iri_windows.report.total_windows == 30
+        np.testing.assert_allclose(iri_windows.iri, segment.iri, rtol=1e-12)
 
     def test_smooth_road_all_quiet(self, tmp_path):
         path = write_config(

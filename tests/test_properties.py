@@ -1,8 +1,9 @@
 """Property tests of the method layer and the trace reader shared by the pipeline and the CLI.
 
 Grid steps and window lengths are powers of two, so ``floor(extent /
-window)`` is exact and the expected window count needs no tolerance.  ISO
-windows cover the span of positions all runs share.
+window)`` is exact and the expected window count needs no tolerance.  Band
+and IRI windows cover a series' extent, and ISO windows the span of
+positions all runs share.
 """
 
 import tempfile
@@ -40,8 +41,8 @@ def test_band_method_counts_every_window_and_nests_styles(seed, n, l_cr, scale):
     rng = np.random.default_rng(seed)
     space = {f"a{axis}": SpaceSeries(0.0, DS, _walk(rng, n, scale)) for axis in thresholds.AXES}
     bands = thresholds.load_bands()
-    reports, text = sections.find_critical_bands(space, bands, l_cr)
-    windows = int(n * DS // l_cr)  # a space series extends len * ds
+    reports, text = sections.find_critical_bands(space, bands, sections.window_edges(0.0, n * DS, l_cr))
+    windows = int(n * DS // l_cr)  # windows over the series' extent, len * ds
     per = int(l_cr / DS)
     for (axis, style), report in reports.items():
         row = report.rows[0]
@@ -60,8 +61,9 @@ def test_band_method_counts_every_window_and_nests_styles(seed, n, l_cr, scale):
 def test_iri_windows_count_every_window(seed, n, l_cr, speed_kmh):
     rng = np.random.default_rng(seed)
     values = np.abs(_walk(rng, n, 0.3)) + rng.uniform(0.0, 6.0)
-    out = sections.classify_windows_iri(SpaceSeries(0.0, DS, values), speed_kmh / 3.6, l_cr)
-    windows = int(n * DS // l_cr)  # a space series extends len * ds
+    edges = sections.window_edges(0.0, n * DS, l_cr)
+    out = sections.classify_windows_iri(SpaceSeries(0.0, DS, values), speed_kmh / 3.6, edges)
+    windows = int(n * DS // l_cr)  # windows over the series' extent, len * ds
     assert len(out.labels) == out.report.total_windows == windows
     for row in out.report.rows:
         assert row.c + row.n == windows
@@ -96,7 +98,8 @@ def test_iso_windows_count_every_window_and_labels_follow_a_v(seed, n_runs, n, s
     rng = np.random.default_rng(seed)
     starts = step * rng.integers(0, 40, n_runs)
     runs = [_response(rng, n, 0.005, step, start, scale) for start in starts]
-    out = sections.classify_windows_iso(runs, l_cr, reduction=reduction)
+    edges = sections.window_edges(starts.max(), starts.min() + step * (n - 1) - starts.max(), l_cr)
+    out = sections.classify_windows_iso(runs, edges, reduction=reduction)
     windows = int((starts.min() + step * (n - 1) - starts.max()) // l_cr)
     assert len(out.labels) == out.report.total_windows == windows
     for row in out.report.rows:
