@@ -134,7 +134,7 @@ def _cmd_iso(args) -> int:
 def _cmd_thresholds(args) -> int:
     run = signals.read_response_csv(args.trace)
     bands = thresholds.load_bands(args.bands_file)
-    space = {f"a{axis}": signals.to_space(run, f"a{axis}", args.ds) for axis in thresholds.AXES}
+    space = signals.to_space(run, tuple(f"a{axis}" for axis in thresholds.AXES), args.ds)
     # no road here: the windows cover the trace's own space series
     edges = sections.window_edges(space["ax"].s0, space["ax"].extent, args.window)
     _, text = sections.find_critical_bands(space, bands, edges)

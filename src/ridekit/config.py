@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import iso2631, thresholds
 from .calibration import CALIBRATION_PARAMETERS, OptimizationChain
@@ -162,6 +161,8 @@ def load_config(
 
 
 def _load_config(path, seed: int | None, out_dir: str | None, methods: tuple[str, ...] | None) -> PipelineConfig:
+    import yaml
+
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")

@@ -21,8 +21,6 @@ in the test suite.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import schur
-from scipy.linalg.lapack import ztbtrs
 
 from .errors import NumericFailure
 
@@ -129,6 +127,8 @@ def rk4_lti(A, B, u_half: np.ndarray, dt: float, x0) -> np.ndarray:
     if n_steps == 0:
         return x0[None, :].copy()
 
+    from scipy.linalg import lapack, schur  # one statement: this runs on every call
+
     T, Q = schur(A, output="complex")
     n = len(T)
     M = dt * T
@@ -157,7 +157,7 @@ def rk4_lti(A, B, u_half: np.ndarray, dt: float, x0) -> np.ndarray:
             drive = w[:, i] + sum(phi[i, j] * ys[:-1, j] for j in range(i + 1, n))
             drive[0] += p * ys[0, i]
             band[1] = -p
-            y, info = ztbtrs(band, drive[:, None], uplo="L", diag="U", overwrite_b=1)
+            y, info = lapack.ztbtrs(band, drive[:, None], uplo="L", diag="U", overwrite_b=1)
             if info != 0:
                 raise NumericFailure(f"modal recursion solve failed (LAPACK info {info})")
             ys[1:, i] = y[:, 0]

@@ -84,9 +84,10 @@ def _scenario(cfg: PipelineConfig, grid: road.RoadGrid) -> Scenario:
     )
 
 
-def _space_signal(runs, channel: str, ds: float, aggregator: str) -> signals.SpaceSeries:
-    per_run = [signals.to_space(run, channel, ds) for run in runs]
-    return signals.aggregate(per_run, aggregator)
+def _space_signals(runs, ds: float, aggregators: dict[str, str]) -> dict[str, signals.SpaceSeries]:
+    """Each channel's runs on the arc-length grid, merged by that channel's aggregator."""
+    per_run = [signals.to_space(run, tuple(aggregators), ds) for run in runs]
+    return {ch: signals.aggregate([space[ch] for space in per_run], how) for ch, how in aggregators.items()}
 
 
 def analyze(cfg: PipelineConfig, out_dir) -> dict:
@@ -123,7 +124,10 @@ def analyze(cfg: PipelineConfig, out_dir) -> dict:
     summary: dict = {"failures": batch.failures, "reports": {}}
     tables: list[str] = []
 
-    space = {ch: _space_signal(runs, ch, cfg.ds, cfg.aggregator) for ch in ("ax", "ay", "az")}
+    aggregators = dict.fromkeys(("ax", "ay", "az"), cfg.aggregator)
+    if "iri" in cfg.methods:
+        aggregators["vx"] = "mean"  # the IRI classification speed
+    space = _space_signals(runs, cfg.ds, aggregators)
     rows = zip(space["ax"].positions, space["ax"].values, space["ay"].values, space["az"].values, strict=True)
     text = "s,ax,ay,az\n" + "".join(f"{s:.3f},{ax:.6e},{ay:.6e},{az:.6e}\n" for s, ax, ay, az in rows)
     _write(out_dir, "space_signals.csv", text, outputs)
@@ -153,8 +157,7 @@ def analyze(cfg: PipelineConfig, out_dir) -> dict:
             segment_length=cfg.iri_segment_m,
         )
         iri_series = _iri_space_series(results, grid, cfg)
-        speed_series = _space_signal(runs, "vx", cfg.ds, "mean")
-        iri_windows = sections.classify_windows_iri(iri_series, speed_series, edges)
+        iri_windows = sections.classify_windows_iri(iri_series, space["vx"], edges)
         _write(out_dir, "iri_report.csv", iri_windows.report.to_csv_text(), outputs)
         rows = zip(centers, iri_windows.iri, iri_windows.speed_kmh, iri_windows.labels)
         lines = (f"{s:.3f},{value:.6e},{kmh:.3f},{label}\n" for s, value, kmh, label in rows)

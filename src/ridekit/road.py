@@ -14,8 +14,6 @@ import io
 import threading
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline, make_smoothing_spline
-from scipy.ndimage import median_filter, uniform_filter
 
 from .errors import DomainBoundsError, GridParseError, InvalidInput
 from .signals import is_data_line, parse_rows, uniform_grid
@@ -264,6 +262,8 @@ def load_grid(path) -> RoadGrid:
 
 
 def _clean_grid(elevations: np.ndarray, ref_elevation: np.ndarray) -> tuple[np.ndarray, int]:
+    from scipy.ndimage import median_filter, uniform_filter
+
     # Rows are levelled by their robust crossfall before the median: "nearest"
     # padding counts an edge cell twice in its neighbours' windows, so on a
     # tilted row an edge outlier would drag their medians to the next column.
@@ -307,6 +307,8 @@ class SurfaceInterpolator:
     """
 
     def __init__(self, grid: RoadGrid, params: SmoothingParams | None = None):
+        from scipy.interpolate import RectBivariateSpline, make_smoothing_spline
+
         self.params = params or SmoothingParams()
         z = grid.elevations
         stations = grid.stations
@@ -361,6 +363,8 @@ def wheel_track_profile(
     s = uniform_grid(grid.stations[0], grid.length, step)
     profile = grid.surface(params).track(s, lateral_offset)
     if params.lambda_z > 0 and len(profile) >= _MIN_SMOOTHING_NODES:
+        from scipy.interpolate import make_smoothing_spline
+
         profile = make_smoothing_spline(s, profile, lam=params.lambda_z)(s)
     return profile
 

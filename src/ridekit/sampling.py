@@ -13,7 +13,6 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import ConfigError, InvalidInput, ToolkitError
 from .signals import VehicleResponse
@@ -55,6 +54,8 @@ class InputDistribution:
 
     def inv_cdf(self, u: np.ndarray) -> np.ndarray:
         if self.kind == "gaussian":
+            from scipy.special import ndtri
+
             mu, sigma = self.params
             return mu + sigma * ndtri(u)
         a, b = self.params
@@ -62,6 +63,8 @@ class InputDistribution:
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
         if self.kind == "gaussian":
+            from scipy.special import ndtr
+
             mu, sigma = self.params
             return ndtr((np.asarray(x) - mu) / sigma)
         a, b = self.params

@@ -189,16 +189,19 @@ def uniform_step(x: np.ndarray, message: str) -> float:
     return step
 
 
-def to_space(run: VehicleResponse, channel: str, ds: float) -> SpaceSeries:
-    """Re-sample a channel onto a uniform arc-length grid.
+def to_space(
+    run: VehicleResponse, channels: str | tuple[str, ...], ds: float
+) -> SpaceSeries | dict[str, SpaceSeries]:
+    """Re-sample one channel, or several, onto a uniform arc-length grid.
 
     Channel values are interpolated linearly in time at the instants the run's
     s(t) mapping crosses each grid position.  Requires strictly increasing s
-    (a reversing or stationary vehicle has no unique s -> t inverse).
+    (a reversing or stationary vehicle has no unique s -> t inverse).  A
+    channel name gives its :class:`SpaceSeries`; a tuple of names gives a dict
+    of them, sharing one s -> t inversion.
     """
     if ds <= 0:
         raise InvalidInput("ds must be > 0")
-    ch = run.channel(channel)
     s = run.s.values
     if np.any(np.diff(s) <= 0):
         raise InvalidInput("to_space requires strictly increasing s (vehicle reversing or stopped)")
@@ -208,8 +211,12 @@ def to_space(run: VehicleResponse, channel: str, ds: float) -> SpaceSeries:
     positions = uniform_grid(s[0], span, ds)
     t = run.s.t
     t_at = np.interp(positions, s, t)
-    values = np.interp(t_at, ch.t, ch.values)
-    return SpaceSeries(s0=float(s[0]), ds=ds, values=values)
+    out = {}
+    for name in (channels,) if isinstance(channels, str) else channels:
+        ch = run.channel(name)
+        ch_t = t if (ch.t0, ch.dt) == (run.s.t0, run.s.dt) else ch.t
+        out[name] = SpaceSeries(s0=float(s[0]), ds=ds, values=np.interp(t_at, ch_t, ch.values))
+    return out[channels] if isinstance(channels, str) else out
 
 
 def aggregate(runs: list[SpaceSeries], aggregator: str = "mean") -> SpaceSeries:

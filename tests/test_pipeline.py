@@ -667,7 +667,64 @@ def run_fresh(script, *args):
 
 
 class TestImportBoundary:
-    """scipy.signal (about 0.3 s to import) loads only where an ISO filter runs."""
+    """Importing the package loads no SciPy and no yaml; each command loads the SciPy it runs.
+
+    scipy.signal (about 0.3 s to import) loads only where an ISO filter runs.
+    """
+
+    def test_import_loads_no_scipy_and_no_yaml(self):
+        script = """
+import sys
+import ridekit.cli
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "yaml")))
+"""
+        assert run_fresh(script) == "[]"
+
+    @pytest.mark.parametrize(
+        "command, loaded, not_loaded",
+        [
+            ("--version", (), ("scipy",)),
+            ("thresholds", (), ("scipy",)),
+            ("generate-road", (), ("scipy",)),
+            ("iri", ("scipy.linalg",), ("scipy.interpolate", "scipy.ndimage", "scipy.special", "scipy.signal")),
+            # scipy.interpolate itself imports scipy.special, so only the
+            # surface's own modules are required here
+            ("calibrate", ("scipy.linalg", "scipy.interpolate"), ("scipy.signal",)),
+        ],
+        ids=["version", "thresholds", "generate-road", "iri", "calibrate"],
+    )
+    def test_each_command_loads_only_the_scipy_it_runs(
+        self, command, loaded, not_loaded, reference_file, class_c_run, tmp_path
+    ):
+        config, ref_path, _ = reference_file
+        trace = tmp_path / "trace.csv"
+        write_response_csv(trace, class_c_run)
+        profile = tmp_path / "profile.csv"
+        profile.write_text("station,elevation\n" + "".join(f"{0.1 * k},{0.001 * (k % 3)}\n" for k in range(200)))
+        argv = {
+            "--version": ["--version"],
+            "thresholds": ["thresholds", "--trace", trace, "--out", tmp_path / "bands.csv"],
+            "generate-road": [
+                "generate-road", "--config", write_config(tmp_path / "c.yaml"), "--out", tmp_path / "road.txt"
+            ],
+            "iri": ["iri", "--profile", profile, "--segment", "5", "--out", tmp_path / "iri.csv"],
+            "calibrate": ["calibrate", "--config", config, "--reference", ref_path, "--out", tmp_path / "calib"],
+        }[command]
+        script = """
+import json, sys
+from ridekit import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:  # --version
+    code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+        code, modules = json.loads(run_fresh(script, *argv))
+        assert code == 0
+        for name in loaded:
+            assert name in modules
+        for name in not_loaded:
+            assert not [m for m in modules if m == name or m.startswith(name + ".")]
 
     def test_commands_without_iso_filters_never_import_scipy_signal(self, reference_file, class_c_run, tmp_path):
         config, ref_path, _ = reference_file

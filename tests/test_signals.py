@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -198,6 +200,22 @@ class TestToSpace:
         run = constant_speed_response(v=0.1, dt=0.1, n=3)
         with pytest.raises(InvalidInput):
             to_space(run, "az", ds=1.0)
+
+    @pytest.mark.parametrize("az_t0", [0.0, 1e-13], ids=["shared_time_axis", "az_offset_in_time"])
+    def test_shared_inversion_equals_single_channels_bit_for_bit(self, class_c_run, az_t0):
+        run = class_c_run
+        if az_t0:  # within the response's t0 tolerance, so az keeps its own time axis
+            run = replace(run, a_z=replace(run.a_z, t0=az_t0))
+        names = ("ax", "ay", "az", "vx")
+        shared = to_space(run, names, ds=0.1)
+        assert list(shared) == list(names)
+        t_at = np.interp(shared["ax"].positions, run.s.values, run.s.t)
+        for name in names:
+            single = to_space(run, name, ds=0.1)
+            assert (shared[name].s0, shared[name].ds) == (single.s0, single.ds)
+            assert np.array_equal(shared[name].values, single.values)
+            ch = run.channel(name)
+            assert np.array_equal(single.values, np.interp(t_at, ch.t, ch.values))
 
 
 class TestAggregate:
