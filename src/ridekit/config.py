@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from .road import _MIN_SMOOTHING_NODES, ROUGHNESS_PSD_SCALE, SmoothingParams
 from .sampling import InputDistribution, default_input_distributions
 from .sections import ISO_REDUCTIONS
 from .signals import AGGREGATORS
-from .vehicle import MAX_DT, QuarterCarParams, SpeedProfile, VehicleGeometry, default_car, default_geometry
+from .vehicle import MAX_DT, QuarterCarParams, Scenario, SpeedProfile, VehicleGeometry, default_car, default_geometry
 
 __all__ = ["PipelineConfig", "load_config", "check_smoothing_fits", "config_hash"]
 
@@ -85,6 +86,30 @@ def _check_keys(mapping: dict, allowed: set[str], context: str) -> None:
         raise ConfigError(f"unknown field(s) {sorted(unknown)} in {context}")
 
 
+_BOUNDS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+
+
+def _number(value, key: str, *, above=None, at_least=None, at_most=None, whole: bool = False):
+    """``value`` as a finite number within its bounds, and as an ``int`` when ``whole``.
+
+    Every number the config supplies that builds no domain object is read
+    here, so NaN, infinity, a fractional count or a value past its bound
+    fails the same way wherever it appears.
+    """
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+    bounds = [(op, b) for op, b in ((">", above), (">=", at_least), ("<=", at_most)) if b is not None]
+    finite = np.isfinite(number) and (number.is_integer() or not whole)
+    if not (finite and all(_BOUNDS[op](number, b) for op, b in bounds)):
+        rule = " and ".join([f"a finite {'whole ' if whole else ''}number", *(f"{op} {b:g}" for op, b in bounds)])
+        raise ConfigError(f"{key} must be {rule}, got {value!r}")
+    if whole:
+        return int(value) if isinstance(value, int) else int(number)  # a large int seed stays exact
+    return number
+
+
 def _parse_speed(scenario: dict) -> SpeedProfile:
     if "profile" in scenario:
         pairs = scenario["profile"]
@@ -94,10 +119,7 @@ def _parse_speed(scenario: dict) -> SpeedProfile:
         except (TypeError, IndexError):
             raise ConfigError("scenario.profile must be a list of [s_m, v_kmh] pairs") from None
         return SpeedProfile(breakpoints=s, speeds=v)
-    kmh = scenario.get("target_speed_kmh", 80.0)
-    if not (kmh > 0):
-        raise ConfigError("scenario.target_speed_kmh must be > 0")
-    return SpeedProfile.constant(kmh / 3.6)
+    return SpeedProfile.constant(float(scenario.get("target_speed_kmh", 80.0)) / 3.6)
 
 
 def _parse_distributions(spec: dict) -> list[InputDistribution]:
@@ -117,13 +139,9 @@ def _parse_distributions(spec: dict) -> list[InputDistribution]:
 
 
 def _parse_quarter_car(entry: dict | None, context: str) -> QuarterCarParams:
-    base = default_car()
-    if not entry:
-        return base
-    allowed = {"m_s", "m_u", "k_s", "c_s", "k_t", "d_t", "mu_tire"}
-    _check_keys(entry, allowed, context)
-    kwargs = {k: float(v) for k, v in entry.items()}
-    return QuarterCarParams(**{**base.__dict__, **kwargs})
+    entry = entry or {}
+    _check_keys(entry, {"m_s", "m_u", "k_s", "c_s", "k_t", "d_t", "mu_tire"}, context)
+    return replace(default_car(), **{k: float(v) for k, v in entry.items()})
 
 
 def check_smoothing_fits(smoothing: SmoothingParams, n_stations: int, n_offsets: int, n_profile: int) -> None:
@@ -167,7 +185,12 @@ def _load_config(path, seed: int | None, out_dir: str | None, methods: tuple[str
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
     with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh) or {}
+        try:
+            raw = yaml.safe_load(fh) or {}
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+            raise ConfigError(f"config {path} is not valid YAML{where}: {getattr(exc, 'problem', exc)}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
     _check_keys(raw, _TOP_KEYS, "config")
@@ -181,12 +204,8 @@ def _load_config(path, seed: int | None, out_dir: str | None, methods: tuple[str
     if "synthetic" in road:
         synth = road["synthetic"]
         _check_keys(synth, {"length", "step", "roughness_class", "lateral_span", "offset_step", "patch"}, "road.synthetic")
-        length = float(_require(synth, "length", "road.synthetic"))
-        if not np.isfinite(length):
-            raise ConfigError("road.synthetic.length must be finite")
-        step = float(synth.get("step", 0.1))
-        if not (step > 0):
-            raise ConfigError("road.synthetic.step must be > 0")
+        length = _number(_require(synth, "length", "road.synthetic"), "road.synthetic.length")
+        step = _number(synth.get("step", 0.1), "road.synthetic.step", above=0)
         if not (length >= 10 * step):
             raise ConfigError("road.synthetic.length must be at least 10 * step")
         if round(length / step) > MAX_PROFILE_SAMPLES:
@@ -198,21 +217,17 @@ def _load_config(path, seed: int | None, out_dir: str | None, methods: tuple[str
             _check_keys(patch, {"start", "length", "roughness_class"}, "road.synthetic.patch")
             pklass = str(_require(patch, "roughness_class", "road.synthetic.patch")).upper()
             _one_of(pklass, ROUGHNESS_PSD_SCALE, "road.synthetic.patch.roughness_class")
-            start = float(_require(patch, "start", "road.synthetic.patch"))
-            end = start + float(_require(patch, "length", "road.synthetic.patch"))
-            if not np.isfinite(end):
-                raise ConfigError("road.synthetic.patch.start and length must be finite")
+            start = _number(_require(patch, "start", "road.synthetic.patch"), "road.synthetic.patch.start")
+            end = start + _number(_require(patch, "length", "road.synthetic.patch"), "road.synthetic.patch.length")
             # the rows of the synthesized profile the patch replaces
             i0, i1 = int(round(start / step)), int(round(end / step))
             if not (0 <= i0 < i1 <= int(round(length / step))):
                 raise ConfigError("road.synthetic.patch lies outside the road")
             patch = {"roughness_class": pklass, "rows": (i0, i1)}
-        lateral_span = float(synth.get("lateral_span", 2.0))
-        offset_step = float(synth.get("offset_step", 0.5))
-        if not (offset_step > 0):
-            raise ConfigError("road.synthetic.offset_step must be > 0")
-        if not np.isfinite(lateral_span) or round(2 * lateral_span / offset_step) < 1:
-            raise ConfigError("road.synthetic.lateral_span must be finite and give at least two lateral offsets")
+        lateral_span = _number(synth.get("lateral_span", 2.0), "road.synthetic.lateral_span")
+        offset_step = _number(synth.get("offset_step", 0.5), "road.synthetic.offset_step", above=0)
+        if round(2 * lateral_span / offset_step) < 1:
+            raise ConfigError("road.synthetic.lateral_span must give at least two lateral offsets")
         road_synthetic = {
             "length": length,
             "step": step,
@@ -241,18 +256,16 @@ def _load_config(path, seed: int | None, out_dir: str | None, methods: tuple[str
     scenario = raw.get("scenario", {})
     _check_keys(scenario, {"target_speed_kmh", "profile", "lane_half_width", "distributions"}, "scenario")
     target_speed = _parse_speed(scenario)
-    lane_half_width = float(scenario.get("lane_half_width", 1.5))
+    # the Scenario default is the one default lane; the preflight builds a
+    # Scenario from this value, which checks it
+    lane_half_width = float(scenario.get("lane_half_width", Scenario.lane_half_width))
     distributions = _parse_distributions(scenario.get("distributions", {}))
     speed_given = "profile" in scenario or "target_speed_kmh" in scenario
 
     batch = raw.get("batch", {})
     _check_keys(batch, {"n", "dt"}, "batch")
-    n = int(batch.get("n", 50))
-    if n < 1:
-        raise ConfigError("batch.n must be >= 1")
-    dt = float(batch.get("dt", 1e-3))
-    if not (0 < dt <= MAX_DT):
-        raise ConfigError(f"batch.dt must be in (0, {MAX_DT}] s")
+    n = _number(batch.get("n", 50), "batch.n", at_least=1, whole=True)
+    dt = _number(batch.get("dt", 1e-3), "batch.dt", above=0, at_most=MAX_DT)
 
     analysis = raw.get("analysis", {})
     _check_keys(
@@ -273,37 +286,28 @@ def _load_config(path, seed: int | None, out_dir: str | None, methods: tuple[str
             bands = thresholds.load_bands(bands_file)
         except InvalidInput as exc:
             raise ConfigError(f"analysis.bands_file: {exc}") from exc
-    window_m = float(analysis.get("window_m", 5.0))
-    if window_m <= 0:
-        raise ConfigError("analysis.window_m must be > 0")
     if "iri" in methods and not speed_given:
         raise ConfigError(
             "the iri method applies speed-dependent thresholds: set "
             "scenario.target_speed_kmh or scenario.profile explicitly"
         )
-    ds = float(analysis.get("ds", 0.1))
-    if not (ds > 0):
-        raise ConfigError("analysis.ds must be > 0")
-    if window_m < ds:
-        raise ConfigError("analysis.window_m must be >= analysis.ds")
+    ds = _number(analysis.get("ds", 0.1), "analysis.ds", above=0)
+    window_m = _number(analysis.get("window_m", 5.0), "analysis.window_m", at_least=ds)
     aggregator = _one_of(str(analysis.get("aggregator", "mean")), AGGREGATORS, "analysis.aggregator")
     iso_reduction = _one_of(str(analysis.get("iso_reduction", "mean")), ISO_REDUCTIONS, "analysis.iso_reduction")
     weightings = {str(k): str(v) for k, v in analysis.get("weightings", iso2631.DEFAULT_WEIGHTINGS).items()}
     _check_keys(weightings, {"x", "y", "z"}, "analysis.weightings")
     for axis, wid in weightings.items():
         _one_of(wid.lower(), iso2631.available_weightings(), f"analysis.weightings.{axis}")
-    k_factors = tuple(float(k) for k in analysis.get("k_factors", [1.0, 1.0, 1.0]))
-    if len(k_factors) != 3 or not all(np.isfinite(k) and k >= 0 for k in k_factors):
-        raise ConfigError("analysis.k_factors must hold three finite values >= 0")
+    k_factors = analysis.get("k_factors", [1.0, 1.0, 1.0])
+    k_factors = tuple(_number(k, "analysis.k_factors entry", at_least=0) for k in k_factors)
+    if len(k_factors) != 3:
+        raise ConfigError("analysis.k_factors must hold three values")
 
     iri_entry = raw.get("iri", {})
     _check_keys(iri_entry, {"segment_m", "speed_kmh"}, "iri")
-    iri_segment_m = float(iri_entry.get("segment_m", 5.0))
-    if not (iri_segment_m > 0):
-        raise ConfigError("iri.segment_m must be > 0")
-    iri_speed_kmh = float(iri_entry.get("speed_kmh", 80.0))
-    if not (iri_speed_kmh > 0):
-        raise ConfigError("iri.speed_kmh must be > 0")
+    iri_segment_m = _number(iri_entry.get("segment_m", 5.0), "iri.segment_m", above=0)
+    iri_speed_kmh = _number(iri_entry.get("speed_kmh", 80.0), "iri.speed_kmh", above=0)
 
     vehicle_entry = raw.get("vehicle", {})
     _check_keys(vehicle_entry, {"front", "rear", "geometry"}, "vehicle")
@@ -311,7 +315,7 @@ def _load_config(path, seed: int | None, out_dir: str | None, methods: tuple[str
     rear = _parse_quarter_car(vehicle_entry.get("rear", vehicle_entry.get("front")), "vehicle.rear")
     geo_entry = vehicle_entry.get("geometry", {})
     _check_keys(geo_entry, {"wheelbase", "track_width"}, "vehicle.geometry")
-    geometry = VehicleGeometry(**{**default_geometry().__dict__, **{k: float(v) for k, v in geo_entry.items()}})
+    geometry = replace(default_geometry(), **{k: float(v) for k, v in geo_entry.items()})
 
     calib = raw.get("calibration", {})
     _check_keys(calib, {"stages", "p0", "tol", "max_iter"}, "calibration")
@@ -324,27 +328,23 @@ def _load_config(path, seed: int | None, out_dir: str | None, methods: tuple[str
         chain = OptimizationChain(stages=stages)
     else:
         chain = OptimizationChain.default()
-    p0 = {str(k): float(v) for k, v in calib.get("p0", {}).items()} or None
-    if p0 is not None:
-        for name, value in p0.items():
+    p0 = None
+    if calib.get("p0"):
+        p0 = {}
+        for name, value in calib["p0"].items():
             if name not in CALIBRATION_PARAMETERS:
                 raise ConfigError(f"calibration.p0 parameter {name!r} unknown")
             lo, hi = CALIBRATION_PARAMETERS[name]
-            if not (lo <= value <= hi):
-                raise ConfigError(f"calibration.p0.{name} {value} outside its bounds [{lo}, {hi}]")
+            p0[name] = _number(value, f"calibration.p0.{name}", at_least=lo, at_most=hi)
         missing = [name for name in chain.parameters if name not in p0]
         if missing:
             raise ConfigError(f"calibration.p0 misses chain parameters {missing}")
-    tol = float(calib.get("tol", 1e-12))
-    if not (tol >= 0):
-        raise ConfigError("calibration.tol must be >= 0")
-    max_iter = int(calib.get("max_iter", 60))
-    if max_iter < 1:
-        raise ConfigError("calibration.max_iter must be >= 1")
+    tol = _number(calib.get("tol", 1e-12), "calibration.tol", at_least=0)
+    max_iter = _number(calib.get("max_iter", 60), "calibration.max_iter", at_least=1, whole=True)
 
     return PipelineConfig(
         raw=raw,
-        seed=int(seed if seed is not None else raw.get("seed", 0)),
+        seed=_number(raw.get("seed", 0) if seed is None else seed, "seed", at_least=0, whole=True),
         out_dir=str(out_dir if out_dir is not None else raw.get("out_dir", "out")),
         road_file=road_file,
         road_synthetic=road_synthetic,

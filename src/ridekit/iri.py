@@ -103,14 +103,15 @@ def compute_iri(
     if not np.all(np.isfinite(profile)):
         raise InvalidInput("profile contains non-finite samples")
     if step <= 0 or step > 0.25:
-        raise InvalidInput("profile step must be in (0, 0.25] m")
+        raise InvalidInput(f"profile step {step:g} m outside (0, 0.25] m")
     if speed <= 0:
         raise InvalidInput("speed must be > 0")
+    per_segment = int(round(segment_length / step))
+    if per_segment < 1:
+        raise InvalidInput(f"a {segment_length:g} m segment covers no {step:g} m profile step")
     length = (len(profile) - 1) * step
     if length < segment_length:
-        raise InvalidInput(
-            f"profile covers {length:.1f} m, shorter than one {segment_length:.1f} m segment"
-        )
+        raise InvalidInput(f"profile covers {length:.1f} m, shorter than one {segment_length:.1f} m segment")
 
     dt = step / speed
     i_ramp = min(int(round(INIT_RAMP_M / step)), len(profile) - 1)
@@ -124,9 +125,6 @@ def compute_iri(
     states = rk4_lti(a, b[:, :1], half_grid_input(fine)[:, None], dt / n_sub, x0)[::n_sub]
     rate = np.abs(states[:, 1] - states[:, 3])
 
-    per_segment = int(round(segment_length / step))
-    if per_segment < 1:
-        raise InvalidInput("segment_length must cover at least one profile step")
     n_segments = int(np.floor((len(profile) - 1) / per_segment + 1e-9))
     results = []
     for k in range(n_segments):

@@ -21,7 +21,7 @@ from . import calibration as calib_mod
 from . import iri as iri_mod
 from . import iso2631, road, sampling, sections, signals
 from .config import PipelineConfig, check_smoothing_fits, config_hash
-from .errors import ConfigError
+from .errors import ConfigError, DomainBoundsError, InvalidInput
 from .vehicle import Scenario
 
 __all__ = ["build_road", "generate_road", "analyze", "calibrate"]
@@ -74,14 +74,41 @@ def generate_road(cfg: PipelineConfig, out_path) -> Path:
     return out_path
 
 
-def _scenario(cfg: PipelineConfig, grid: road.RoadGrid) -> Scenario:
-    """The configured base scenario; sampled runs override its stochastic inputs."""
-    return Scenario(
-        road=grid,
-        target_speed=cfg.target_speed,
-        lane_half_width=cfg.lane_half_width,
-        smoothing=cfg.smoothing,
+def _config_error(setting: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, raising its :class:`InvalidInput` as a ``ConfigError`` on ``setting``."""
+    try:
+        return build(*args, **kwargs)
+    except InvalidInput as exc:
+        raise ConfigError(f"{setting}: {exc}") from exc
+
+
+def _preflight(cfg: PipelineConfig, grid: road.RoadGrid, analysis: bool):
+    """Every check that needs the road, run before a command makes its output directory.
+
+    Returns the base scenario (sampled runs override its stochastic inputs)
+    and, for ``analysis``, the one window partition every method reports on
+    and the centre line's IRI segments (``None`` without the iri method).
+    """
+    n_profile = len(signals.uniform_grid(grid.stations[0], grid.length, grid.grid_step))
+    check_smoothing_fits(cfg.smoothing, len(grid.stations), len(grid.lateral_offsets), n_profile)
+    scenario = _config_error(
+        "scenario", Scenario, grid, cfg.target_speed, lane_half_width=cfg.lane_half_width, smoothing=cfg.smoothing
     )
+    reach = cfg.lane_half_width + cfg.geometry.track_width / 2
+    try:
+        grid.check_offset([-reach, reach])
+    except DomainBoundsError as exc:
+        reach_name = "scenario.lane_half_width + vehicle.geometry.track_width / 2"
+        raise ConfigError(f"a wheel may sit {reach_name} = {reach:g} m off the centre line: {exc}") from None
+    if not analysis:
+        return scenario, None, None
+    edges = _config_error("analysis.window_m", sections.window_edges, grid.stations[0], grid.length, cfg.window_m)
+    segments = None
+    if "iri" in cfg.methods:
+        profile = road.wheel_track_profile(grid, 0.0, cfg.smoothing, grid.grid_step)
+        speed = cfg.iri_speed_kmh / 3.6
+        segments = _config_error("iri", iri_mod.compute_iri, profile, grid.grid_step, speed, cfg.iri_segment_m)
+    return scenario, edges, segments
 
 
 def _space_signals(runs, ds: float, aggregators: dict[str, str]) -> dict[str, signals.SpaceSeries]:
@@ -97,19 +124,12 @@ def analyze(cfg: PipelineConfig, out_dir) -> dict:
     tests and interactive use; files are the authoritative output.
     """
     grid = build_road(cfg)
-    _check_smoothing_fits(cfg, grid)
-    if grid.length < cfg.window_m:
-        raise ConfigError(f"analysis.window_m {cfg.window_m:g} m is longer than the {grid.length:g} m road")
-    if "iri" in cfg.methods:
-        _check_iri_fits(cfg, grid)
-    # the one window partition every method reports on
-    edges = sections.window_edges(float(grid.stations[0]), grid.length, cfg.window_m)
+    scenario, edges, iri_segments = _preflight(cfg, grid, analysis=True)
     centers = 0.5 * (edges[:-1] + edges[1:])
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs: dict[str, str] = {}
 
-    scenario = _scenario(cfg, grid)
     plan = sampling.lhs(cfg.distributions, cfg.n, cfg.seed)
     _write(out_dir, "sample_plan.csv", plan.to_csv_text(), outputs)
 
@@ -149,14 +169,7 @@ def analyze(cfg: PipelineConfig, out_dir) -> dict:
         summary["reports"]["iso"] = iso_windows
 
     if "iri" in cfg.methods:
-        profile = road.wheel_track_profile(grid, 0.0, cfg.smoothing, grid.grid_step)
-        results = iri_mod.compute_iri(
-            profile,
-            grid.grid_step,
-            speed=cfg.iri_speed_kmh / 3.6,
-            segment_length=cfg.iri_segment_m,
-        )
-        iri_series = _iri_space_series(results, grid, cfg)
+        iri_series = _iri_space_series(iri_segments, grid, cfg)
         iri_windows = sections.classify_windows_iri(iri_series, space["vx"], edges)
         _write(out_dir, "iri_report.csv", iri_windows.report.to_csv_text(), outputs)
         rows = zip(centers, iri_windows.iri, iri_windows.speed_kmh, iri_windows.labels)
@@ -171,31 +184,12 @@ def analyze(cfg: PipelineConfig, out_dir) -> dict:
     return summary
 
 
-def _check_smoothing_fits(cfg: PipelineConfig, grid: road.RoadGrid) -> None:
-    """Fail before any output when a smoothing penalty sits on an axis of this road too short to smooth."""
-    n_profile = len(signals.uniform_grid(grid.stations[0], grid.length, grid.grid_step))
-    check_smoothing_fits(cfg.smoothing, len(grid.stations), len(grid.lateral_offsets), n_profile)
-
-
-def _check_iri_fits(cfg: PipelineConfig, grid: road.RoadGrid) -> None:
-    """Fail before any output when the IRI settings cannot run on this road."""
-    step = grid.grid_step
-    if step > 0.25:
-        raise ConfigError(f"the iri method needs a road step of at most 0.25 m, got {step:g} m")
-    per_segment = round(cfg.iri_segment_m / step)
-    if per_segment < 1:
-        raise ConfigError("iri.segment_m must cover at least one road step")
-    n_steps = len(signals.uniform_grid(grid.stations[0], grid.length, step)) - 1
-    if n_steps * step < cfg.iri_segment_m:
-        raise ConfigError(f"iri.segment_m {cfg.iri_segment_m:g} m is longer than the {n_steps * step:g} m road")
-
-
 def _iri_space_series(results, grid, cfg: PipelineConfig) -> signals.SpaceSeries:
     """Index values on the analysis grid, from the road start to its end.
 
-    Segments at or below the window length map piecewise-constant (each window
-    averages its own segments), and the part past the last whole segment
-    keeps that segment's value.  Coarser segments are interpolated linearly
+    Segments at or below the window length map piecewise-constant by position
+    (each window averages its own segments), and the part past the last whole
+    segment keeps that segment's value.  Coarser segments are interpolated linearly
     between segment midpoints, mirroring how sparse measured index samples are
     densified, and held constant before the first and after the last.
     """
@@ -203,8 +197,8 @@ def _iri_space_series(results, grid, cfg: PipelineConfig) -> signals.SpaceSeries
     s0 = float(grid.stations[0])
     positions = signals.uniform_grid(s0, grid.length, cfg.ds)
     if cfg.iri_segment_m <= cfg.window_m + 1e-9:
-        per = max(int(round(cfg.iri_segment_m / cfg.ds)), 1)
-        dense = values[np.minimum(np.arange(len(positions)) // per, len(values) - 1)]
+        index = np.floor((positions - s0) / results[0].segment_length + 1e-9).astype(int)
+        dense = values[np.minimum(index, len(values) - 1)]
     else:
         midpoints = np.array([s0 + r.s_start + 0.5 * r.segment_length for r in results])
         dense = np.interp(positions, midpoints, values)
@@ -214,13 +208,12 @@ def _iri_space_series(results, grid, cfg: PipelineConfig) -> signals.SpaceSeries
 def calibrate(cfg: PipelineConfig, reference_path, out_dir) -> calib_mod.ChainResult:
     """Run the staged calibration against a reference trace and write the report."""
     grid = build_road(cfg)
-    _check_smoothing_fits(cfg, grid)
+    scenario, _, _ = _preflight(cfg, grid, analysis=False)
     reference = signals.read_reference_csv(reference_path)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs: dict[str, str] = {}
 
-    scenario = _scenario(cfg, grid)
     constraints = calib_mod.BoxConstraints.vehicle_defaults()
     chain = cfg.calibration_chain
     names = chain.parameters

@@ -47,6 +47,8 @@ class InputDistribution:
         if self.kind not in ("gaussian", "uniform"):
             raise ConfigError(f"unknown distribution kind {self.kind!r}")
         p0, p1 = self.params
+        if not (np.isfinite(p0) and np.isfinite(p1)):
+            raise ConfigError(f"{self.name}: distribution parameters must be finite, got {self.params}")
         if self.kind == "gaussian" and not (p1 > 0):
             raise ConfigError(f"{self.name}: gaussian sigma must be > 0")
         if self.kind == "uniform" and not (p0 < p1):

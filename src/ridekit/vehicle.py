@@ -70,10 +70,11 @@ class QuarterCarParams:
 
     def __post_init__(self):
         for name in ("m_s", "m_u", "k_s", "k_t"):
-            if not (getattr(self, name) > 0):
-                raise InvalidInput(f"{name} must be > 0")
-        if self.c_s < 0 or self.d_t < 0:
-            raise InvalidInput("damping rates must be >= 0")
+            if not (0 < getattr(self, name) < np.inf):
+                raise InvalidInput(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        for name in ("c_s", "d_t"):
+            if not (0 <= getattr(self, name) < np.inf):
+                raise InvalidInput(f"damping rate {name} must be finite and >= 0, got {getattr(self, name)}")
         if not (0 < self.mu_tire <= 2):
             raise InvalidInput("mu_tire must be in (0, 2]")
 
@@ -97,8 +98,8 @@ class VehicleGeometry:
 
     def __post_init__(self):
         for name in ("wheelbase", "track_width"):
-            if not (getattr(self, name) > 0):
-                raise InvalidInput(f"{name} must be > 0")
+            if not (0 < getattr(self, name) < np.inf):
+                raise InvalidInput(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
 
 def default_geometry() -> VehicleGeometry:
@@ -117,10 +118,10 @@ class SpeedProfile:
         v = np.atleast_1d(np.asarray(self.speeds, dtype=float))
         if bp.shape != v.shape or bp.size == 0:
             raise InvalidInput("breakpoints and speeds must be equal-length 1-D arrays")
-        if bp.size > 1 and np.any(np.diff(bp) <= 0):
-            raise InvalidInput("breakpoints must be strictly increasing")
-        if np.any(v <= 0):
-            raise InvalidInput("target speed must be > 0 everywhere")
+        if not np.all(np.isfinite(bp)) or np.any(np.diff(bp) <= 0):
+            raise InvalidInput("breakpoints must be finite and strictly increasing")
+        if not np.all((v > 0) & (v < np.inf)):
+            raise InvalidInput("target speed must be finite and > 0 everywhere")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "speeds", v)
 
@@ -136,6 +137,8 @@ class Scenario:
     ``v_dev`` shifts the whole speed profile, ``l_p`` offsets the vehicle from
     the lane center, ``mu_rs`` scales the available road friction (weather
     proxy).  ``smoothing`` is applied when extracting wheel-track profiles.
+    ``|l_p|`` may not exceed ``lane_half_width``; its 1.2 m default keeps the
+    wheels of the default 1.6 m track on a road of +-2 m.
     """
 
     road: RoadGrid
@@ -143,12 +146,14 @@ class Scenario:
     v_dev: float = 0.0
     l_p: float = 0.0
     mu_rs: float = 1.0
-    lane_half_width: float = 1.5
+    lane_half_width: float = 1.2
     smoothing: SmoothingParams = field(default_factory=SmoothingParams)
 
     def __post_init__(self):
         if isinstance(self.target_speed, (int, float)):
             object.__setattr__(self, "target_speed", SpeedProfile.constant(self.target_speed))
+        if not (0 <= self.lane_half_width < np.inf):
+            raise InvalidInput(f"lane half width must be finite and >= 0, got {self.lane_half_width}")
         if abs(self.l_p) > self.lane_half_width:
             raise InvalidInput(f"|l_p| must be <= lane half width {self.lane_half_width}")
         if not (0 < self.mu_rs <= 1.5):

@@ -175,6 +175,19 @@ class TestConfig:
             ("road", {"synthetic": {**ROAD_B, "length": -5.0}}),
             ("road", {"synthetic": {**ROAD_B, "length": 0.5}}),
             ("road", {"synthetic": {**ROAD_B, "step": 1.0e-12}}),
+            ("analysis", {"window_m": float("nan")}),
+            ("iri", {"speed_kmh": float("inf")}),
+            ("batch", {"n": float("inf")}),
+            ("batch", {"n": 2.5}),
+            ("calibration", {"max_iter": float("inf")}),
+            ("seed", float("inf")),
+            ("seed", -1),
+            ("vehicle", {"front": {"c_s": float("nan")}}),
+            ("vehicle", {"geometry": {"wheelbase": float("inf")}}),
+            ("scenario", {"target_speed_kmh": float("inf")}),
+            ("scenario", {"distributions": {"l_p": {"kind": "gaussian", "mu": float("nan"), "sigma": 0.2}}}),
+            ("scenario", {"lane_half_width": -1.0}),
+            ("road", {"synthetic": {**ROAD_B, "lateral_span": 1.5}}),
         ],
         ids=[
             "aggregator", "iso_reduction", "ds", "weightings", "dt", "segment_m", "speed_kmh", "window_below_ds",
@@ -182,7 +195,9 @@ class TestConfig:
             "iri_step_grid_file", "window_beyond_road", "offset_step", "lateral_span",
             "lateral_span_inf", "bands_incomplete", "bands_sign", "bands_columns", "k_nan", "k_negative",
             "lambda_x_nan", "lambda_y_inf", "length_inf", "patch_missing_start", "patch_non_numeric", "patch_outside",
-            "negative_length", "length_below_ten_steps", "step_too_fine",
+            "negative_length", "length_below_ten_steps", "step_too_fine", "window_nan", "iri_speed_inf", "n_inf",
+            "n_fractional", "max_iter_inf", "seed_inf", "seed_negative", "c_s_nan", "wheelbase_inf", "speed_inf",
+            "mu_nan", "lane_negative", "road_narrower_than_lane",
         ],
     )
     def test_bad_setting_fails_before_any_output(self, tmp_path, monkeypatch, capsys, section, entry):
@@ -194,11 +209,29 @@ class TestConfig:
         (tmp_path / "bands_columns.csv").write_text(shipped.replace("lower,upper", "low,high"))
         path = write_config(tmp_path / "c.yaml")
         doc = yaml.safe_load(path.read_text())
-        doc[section] = {key: value for key, value in {**doc[section], **entry}.items() if value is not None}
+        if isinstance(entry, dict):
+            entry = {key: value for key, value in {**doc.get(section, {}), **entry}.items() if value is not None}
+        doc[section] = entry
         path.write_text(yaml.safe_dump(doc))
         out = tmp_path / "out"
         assert main(["analyze", "--config", str(path), "--out", str(out)]) == 2
         assert "error [ConfigError]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_flag_fails_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", str(write_config(tmp_path / "c.yaml")), "--seed", "-3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error [ConfigError]: seed must be a finite whole number and >= 0")
+        assert not out.exists()
+
+    def test_invalid_yaml_fails_before_any_output(self, tmp_path, capsys):
+        path = tmp_path / "c.yaml"
+        path.write_text("seed: [1\nroad: {\n")
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [ConfigError]: ") and err.count("\n") == 1
+        assert f"config {path} is not valid YAML at line 2, column 5" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -209,8 +242,10 @@ class TestConfig:
             {"p0": {"k_tire": 500000.0}},
             {"max_iter": 0},
             {"tol": -1.0},
+            {"max_iter": float("inf")},
+            {"max_iter": 2.5},
         ],
-        ids=["p0_unknown", "p0_missing", "p0_out_of_bounds", "max_iter", "tol"],
+        ids=["p0_unknown", "p0_missing", "p0_out_of_bounds", "max_iter", "tol", "max_iter_inf", "max_iter_fractional"],
     )
     def test_bad_calibration_setting_fails_before_any_output(self, reference_file, tmp_path, capsys, entry):
         config, ref_path, _ = reference_file
@@ -391,6 +426,28 @@ class TestAnalyze:
         assert iri_windows.report.total_windows == 30
         np.testing.assert_allclose(iri_windows.iri, segment.iri, rtol=1e-12)
 
+    @pytest.mark.parametrize("ds", [0.1, 0.3])
+    def test_each_window_reads_its_own_segment(self, tmp_path, ds):
+        # 0.3 m does not divide the 5 m segments: the samples of window k
+        # still take segment k's index from their position
+        synthetic = {"length": 300.0, "step": 0.1, "roughness_class": "C",
+                     "patch": {"start": 120.0, "length": 60.0, "roughness_class": "E"}}
+        path = write_config(
+            tmp_path / "c.yaml",
+            seed=3,
+            road={"synthetic": synthetic},
+            batch={"n": 2, "dt": 0.002},
+            analysis={"window_m": 5.0, "ds": ds, "methods": ["iri"]},
+        )
+        cfg = load_config(path)
+        summary = analyze(cfg, tmp_path / "out")
+        grid = build_road(cfg)
+        profile = road.wheel_track_profile(grid, 0.0, cfg.smoothing, grid.grid_step)
+        segments = compute_iri(profile, grid.grid_step, speed=80.0 / 3.6, segment_length=5.0)
+        iri_windows = summary["reports"]["iri"]
+        assert len(segments) == iri_windows.report.total_windows == 60
+        np.testing.assert_allclose(iri_windows.iri, [segment.iri for segment in segments], rtol=1e-12)
+
     def test_smooth_road_all_quiet(self, tmp_path):
         path = write_config(
             tmp_path / "c.yaml",
@@ -421,7 +478,11 @@ class TestAnalyze:
         path = write_config(
             tmp_path / "c.yaml",
             road={"synthetic": {"length": 200.0, "step": 0.1, "roughness_class": "B", "lateral_span": 2.5}},
-            scenario={"target_speed_kmh": 54.0, "distributions": {"l_p": {"kind": "uniform", "a": 0.0, "b": 3.0}}},
+            scenario={
+                "target_speed_kmh": 54.0,
+                "lane_half_width": 1.5,
+                "distributions": {"l_p": {"kind": "uniform", "a": 0.0, "b": 3.0}},
+            },
             batch={"n": 2, "dt": 0.002},
         )
         out = tmp_path / "out"

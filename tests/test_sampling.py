@@ -28,6 +28,14 @@ class TestDistributions:
         with pytest.raises(ConfigError):
             InputDistribution("x", "poisson", (1.0, 2.0))
 
+    @pytest.mark.parametrize(
+        "kind, params",
+        [("gaussian", (np.nan, 0.2)), ("gaussian", (0.0, np.inf)), ("uniform", (0.0, np.inf)), ("uniform", (-np.inf, 1.0))],
+    )
+    def test_non_finite_parameters_rejected(self, kind, params):
+        with pytest.raises(ConfigError, match="finite"):
+            InputDistribution("l_p", kind, params)
+
     def test_defaults_match_standard_scenario(self):
         dists = {d.name: d for d in default_input_distributions()}
         assert dists["v_dev"].kind == "gaussian" and dists["v_dev"].params == (0.0, 0.2)

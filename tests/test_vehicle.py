@@ -57,6 +57,32 @@ class TestParams:
         with pytest.raises(InvalidInput):
             SpeedProfile.constant(-3.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["m_s", "m_u", "k_s", "c_s", "k_t", "d_t"])
+    def test_non_finite_corner_parameter_rejected(self, car, name, value):
+        with pytest.raises(InvalidInput, match="finite"):
+            replace(car, **{name: value})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["wheelbase", "track_width"])
+    def test_non_finite_geometry_rejected(self, name, value):
+        with pytest.raises(InvalidInput, match="finite"):
+            VehicleGeometry(**{name: value})
+
+    @pytest.mark.parametrize(
+        "breakpoints, speeds",
+        [([0.0], [np.inf]), ([0.0], [np.nan]), ([0.0, np.nan], [10.0, 10.0]), ([0.0, np.inf], [10.0, 10.0])],
+    )
+    def test_non_finite_speed_profile_rejected(self, breakpoints, speeds):
+        with pytest.raises(InvalidInput, match="finite"):
+            SpeedProfile(breakpoints=np.array(breakpoints), speeds=np.array(speeds))
+
+    @pytest.mark.parametrize("lane", [np.nan, np.inf, -1.0])
+    def test_lane_half_width_must_be_finite_and_non_negative(self, lane):
+        grid = straight_grid(np.zeros(20), 1.0)
+        with pytest.raises(InvalidInput, match="lane half width must be finite"):
+            Scenario(road=grid, target_speed=10.0, lane_half_width=lane)
+
 
 class TestEquilibrium:
     def test_flat_road_stays_quiet(self, car, geometry):
@@ -340,7 +366,7 @@ class TestDrivePlan:
     def test_right_wheel_off_a_uniform_grid_fails(self, car, geometry):
         # only the left track is read, but the right wheel must lie on the road
         grid = straight_grid(np.zeros(200), 0.5, lateral_span=2.0)
-        scenario = Scenario(road=grid, target_speed=10.0, l_p=-1.5)
+        scenario = Scenario(road=grid, target_speed=10.0, l_p=-1.5, lane_half_width=1.5)
         with pytest.raises(DomainBoundsError, match="lateral offset"):
             drive_plan(scenario, geometry, car.mu_tire)
 
