@@ -104,8 +104,8 @@ def compute_iri(
         raise InvalidInput("profile contains non-finite samples")
     if step <= 0 or step > 0.25:
         raise InvalidInput(f"profile step {step:g} m outside (0, 0.25] m")
-    if speed <= 0:
-        raise InvalidInput("speed must be > 0")
+    if not (0 < speed < np.inf and 0 < segment_length < np.inf):
+        raise InvalidInput(f"speed {speed:g} m/s and segment length {segment_length:g} m must be finite and > 0")
     per_segment = int(round(segment_length / step))
     if per_segment < 1:
         raise InvalidInput(f"a {segment_length:g} m segment covers no {step:g} m profile step")

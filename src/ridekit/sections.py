@@ -42,8 +42,8 @@ ISO_REDUCTIONS = ("mean", "max")
 
 def window_edges(s0: float, extent: float, l_cr: float) -> np.ndarray:
     """Window boundary positions: floor(extent / l_cr) complete windows."""
-    if l_cr <= 0:
-        raise InvalidInput("l_cr must be > 0")
+    if not (0 < l_cr < np.inf):
+        raise InvalidInput(f"l_cr must be finite and > 0, got {l_cr:g}")
     edges = uniform_grid(s0, extent, l_cr)
     if len(edges) < 2:
         raise InvalidInput(f"track extent {extent:.3g} m shorter than one {l_cr:.3g} m window")

@@ -200,8 +200,8 @@ def to_space(
     channel name gives its :class:`SpaceSeries`; a tuple of names gives a dict
     of them, sharing one s -> t inversion.
     """
-    if ds <= 0:
-        raise InvalidInput("ds must be > 0")
+    if not (0 < ds < np.inf):
+        raise InvalidInput(f"ds must be finite and > 0, got {ds:g}")
     s = run.s.values
     if np.any(np.diff(s) <= 0):
         raise InvalidInput("to_space requires strictly increasing s (vehicle reversing or stopped)")

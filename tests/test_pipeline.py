@@ -698,6 +698,23 @@ class TestSmallCommands:
         assert "error [InvalidInput]" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, flags",
+        [("iri", ["--speed-kmh", "nan"]), ("iri", ["--speed-kmh", "inf"]), ("iri", ["--segment", "nan"]),
+         ("thresholds", ["--window", "nan"]), ("thresholds", ["--ds", "nan"])],
+        ids=["iri_speed_nan", "iri_speed_inf", "iri_segment_nan", "thresholds_window_nan", "thresholds_ds_nan"],
+    )
+    def test_non_finite_flag_fails_with_one_line(self, tmp_path, capsys, class_c_run, command, flags):
+        profile = tmp_path / "profile.csv"
+        profile.write_text("station,elevation\n" + "\n".join(f"{0.1 * k},0.0" for k in range(1200)) + "\n")
+        trace = tmp_path / "trace.csv"
+        write_response_csv(trace, class_c_run)
+        out = tmp_path / "out.csv"
+        source = ["--profile", str(profile)] if command == "iri" else ["--trace", str(trace)]
+        assert main([command, *source, *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error [InvalidInput]")
+        assert not out.exists()
+
     def test_iso_cli(self, tmp_path, class_c_run):
         trace = tmp_path / "trace.csv"
         write_response_csv(trace, class_c_run)
