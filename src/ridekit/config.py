@@ -275,6 +275,8 @@ def _load_config(path, seed: int | None, out_dir: str | None, methods: tuple[str
     )
     if methods is None:
         methods = tuple(analysis.get("methods", list(_METHODS)))
+    if not methods:
+        raise ConfigError(f"analysis.methods must name at least one of {_METHODS}")
     for m in methods:
         _one_of(m, _METHODS, "analysis.methods entry")
     bands_file = analysis.get("bands_file")

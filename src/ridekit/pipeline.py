@@ -111,12 +111,6 @@ def _preflight(cfg: PipelineConfig, grid: road.RoadGrid, analysis: bool):
     return scenario, edges, segments
 
 
-def _space_signals(runs, ds: float, aggregators: dict[str, str]) -> dict[str, signals.SpaceSeries]:
-    """Each channel's runs on the arc-length grid, merged by that channel's aggregator."""
-    per_run = [signals.to_space(run, tuple(aggregators), ds) for run in runs]
-    return {ch: signals.aggregate([space[ch] for space in per_run], how) for ch, how in aggregators.items()}
-
-
 def analyze(cfg: PipelineConfig, out_dir) -> dict:
     """Run the full batch analysis and write the report bundle.
 
@@ -133,21 +127,29 @@ def analyze(cfg: PipelineConfig, out_dir) -> dict:
     plan = sampling.lhs(cfg.distributions, cfg.n, cfg.seed)
     _write(out_dir, "sample_plan.csv", plan.to_csv_text(), outputs)
 
-    batch = sampling.run_batch(plan, scenario, cfg.front, cfg.geometry, dt=cfg.dt, rear_params=cfg.rear)
-    runs = batch.successful()
+    aggregators = dict.fromkeys(("ax", "ay", "az"), cfg.aggregator)
+    if "iri" in cfg.methods:
+        aggregators["vx"] = "mean"  # the IRI classification speed
+    weightings = {axis: iso2631.load_weighting(w) for axis, w in cfg.weightings.items()}
+
+    def reduce(run):
+        """All ``analyze`` keeps of a run: its space series and, for the iso method, its per-window a_v."""
+        space = signals.to_space(run, tuple(aggregators), cfg.ds)
+        a_v = sections.iso_window_av(run, edges, weightings, cfg.k_factors) if "iso" in cfg.methods else None
+        return space, a_v
+
+    batch = sampling.run_batch(plan, scenario, cfg.front, cfg.geometry, reduce, dt=cfg.dt, rear_params=cfg.rear)
     fail_text = "row,reason\n" + "".join(f"{i},{reason}\n" for i, reason in batch.failures)
     _write(out_dir, "failures.csv", fail_text, outputs)
-    if not runs:
+    if not batch.reduced:
         _write_manifest(out_dir, cfg, outputs)
         raise ConfigError("every run in the batch failed; see failures.csv")
 
     summary: dict = {"failures": batch.failures, "reports": {}}
     tables: list[str] = []
 
-    aggregators = dict.fromkeys(("ax", "ay", "az"), cfg.aggregator)
-    if "iri" in cfg.methods:
-        aggregators["vx"] = "mean"  # the IRI classification speed
-    space = _space_signals(runs, cfg.ds, aggregators)
+    per_run_space, per_run_av = zip(*batch.reduced)
+    space = {ch: signals.aggregate([run[ch] for run in per_run_space], how) for ch, how in aggregators.items()}
     rows = zip(space["ax"].positions, space["ax"].values, space["ay"].values, space["az"].values, strict=True)
     text = "s,ax,ay,az\n" + "".join(f"{s:.3f},{ax:.6e},{ay:.6e},{az:.6e}\n" for s, ax, ay, az in rows)
     _write(out_dir, "space_signals.csv", text, outputs)
@@ -159,8 +161,7 @@ def analyze(cfg: PipelineConfig, out_dir) -> dict:
         summary["reports"]["threshold"] = reports
 
     if "iso" in cfg.methods:
-        weightings = {axis: iso2631.load_weighting(w) for axis, w in cfg.weightings.items()}
-        iso_windows = sections.classify_windows_iso(runs, edges, weightings, cfg.k_factors, cfg.iso_reduction)
+        iso_windows = sections.classify_windows_iso(per_run_av, edges, cfg.iso_reduction)
         _write(out_dir, "iso_report.csv", iso_windows.report.to_csv_text(), outputs)
         rows = zip(centers, iso_windows.a_v, iso_windows.labels)
         text = "s_center,a_v,label\n" + "".join(f"{s:.3f},{a_v:.6e},{label}\n" for s, a_v, label in rows)

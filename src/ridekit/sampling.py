@@ -10,6 +10,7 @@ simulation run.
 from __future__ import annotations
 
 import io
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,16 +144,12 @@ def lhs(distributions: list[InputDistribution], n: int, seed: int) -> SamplePlan
 class BatchResult:
     """Order-stable outcome of one Monte Carlo batch.
 
-    ``responses[i]`` is None when row ``i`` failed; ``failures`` lists
-    (row index, reason) pairs.  Runs that finished but were flagged (e.g.
-    ``"off-road risk"``) count as failures and are excluded from aggregation.
+    ``reduced`` holds the successful rows' reductions in row order; ``failures``
+    lists (row index, reason) pairs, runs flagged ``"off-road risk"`` included.
     """
 
-    responses: list[VehicleResponse | None]
+    reduced: list
     failures: list[tuple[int, str]]
-
-    def successful(self) -> list[VehicleResponse]:
-        return [r for r in self.responses if r is not None]
 
 
 def run_batch(
@@ -160,19 +157,21 @@ def run_batch(
     base_scenario: Scenario,
     params: QuarterCarParams,
     geometry: VehicleGeometry,
+    reduce: Callable[[VehicleResponse], object],
     dt: float = 1e-3,
     rear_params: QuarterCarParams | None = None,
 ) -> BatchResult:
     """Simulate one run per plan row, overriding the stochastic scenario inputs.
 
-    Results are indexed by plan row; individual failures are collected and
-    the batch continues.
+    Each run goes to ``reduce`` as it finishes and only the reduction is kept.
+    A :class:`ToolkitError` from the simulation or from ``reduce`` fails that
+    row alone and the batch continues.
     """
     unknown = [name for name in plan.names if name not in SCENARIO_VARIABLES]
     if unknown:
         raise ConfigError(f"plan columns {unknown} are not scenario variables {SCENARIO_VARIABLES}")
 
-    responses: list[VehicleResponse | None] = []
+    reduced = []
     failures: list[tuple[int, str]] = []
     for i in range(plan.n):
         inputs = plan.row_inputs(i)
@@ -183,13 +182,11 @@ def run_batch(
                 mu_rs=inputs.get("mu_rs", base_scenario.mu_rs),
             )
             response = simulate(scenario, params, geometry, dt=dt, rear_params=rear_params)
+            if response.warnings:
+                failures.append((i, "; ".join(response.warnings)))
+            else:
+                reduced.append(reduce(response))
         except ToolkitError as exc:
-            responses.append(None)
             failures.append((i, str(exc)))
-            continue
-        if response.warnings:
-            responses.append(None)
-            failures.append((i, "; ".join(response.warnings)))
-        else:
-            responses.append(response)
-    return BatchResult(responses=responses, failures=failures)
+        response = None  # freed before the next run is simulated
+    return BatchResult(reduced=reduced, failures=failures)

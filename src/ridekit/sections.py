@@ -32,6 +32,7 @@ __all__ = [
     "find_critical",
     "find_critical_bands",
     "threshold_table",
+    "iso_window_av",
     "classify_windows_iso",
     "classify_windows_iri",
 ]
@@ -173,47 +174,45 @@ class IsoWindows:
     report: SectionReport
 
 
-def classify_windows_iso(
-    runs: list[VehicleResponse],
+def iso_window_av(
+    run: VehicleResponse,
     edges: np.ndarray,
-    weightings: dict[str, iso2631.FilterSpec] | None = None,
+    weightings: dict[str, iso2631.FilterSpec],
     k_factors: tuple[float, float, float] = (1.0, 1.0, 1.0),
-    reduction: str = "mean",
-) -> IsoWindows:
+) -> np.ndarray:
+    """One run's total vibration value in each window between ``edges``.
+
+    Each axis is weighted over the full trace and takes, per window, the RMS
+    of its samples from the window's start to the next's; ``combine`` joins them.
+    """
+    idx = _window_starts(run.s.values, edges, 0.0)
+    counts = np.diff(idx)
+    mean_squares = {}
+    for axis, result in iso2631.weight_axes(run, weightings).items():
+        weighted = result.a_w.values
+        cs = np.concatenate([[0.0], np.cumsum(weighted * weighted)])
+        mean_squares[axis] = (cs[idx[1:]] - cs[idx[:-1]]) / counts
+    return iso2631.combine(mean_squares, k_factors)
+
+
+def classify_windows_iso(per_run_av, edges: np.ndarray, reduction: str = "mean") -> IsoWindows:
     """Window-resolved comfort classification across a batch of runs.
 
-    Windows run between ``edges``; a run's window holds its samples at or
-    past the window's start and before the next.  Each run's axis
-    accelerations are frequency weighted over the full trace; the RMS of the
-    weighted signal restricted to a window's time span gives the per-axis
-    value, combined into the total vibration per run and reduced across runs
-    (mean by default, max for worst case).  A window counts under exactly one
-    label.
+    ``per_run_av`` holds each run's :func:`iso_window_av` on ``edges``; the
+    runs are reduced window by window (mean by default, max for worst case).
+    A window counts under exactly one label.
     """
-    if not runs:
+    if len(per_run_av) == 0:
         raise InvalidInput("no runs to classify")
     if reduction not in ISO_REDUCTIONS:
         raise InvalidInput("reduction must be 'mean' or 'max'")
-    if weightings is None:
-        weightings = {axis: iso2631.load_weighting(w) for axis, w in iso2631.DEFAULT_WEIGHTINGS.items()}
-    n_windows = len(edges) - 1
-
-    per_run_av = np.empty((len(runs), n_windows))
-    for i, run in enumerate(runs):
-        idx = _window_starts(run.s.values, edges, 0.0)
-        counts = np.diff(idx)
-        mean_squares = {}
-        for axis, result in iso2631.weight_axes(run, weightings).items():
-            weighted = result.a_w.values
-            cs = np.concatenate([[0.0], np.cumsum(weighted * weighted)])
-            mean_squares[axis] = (cs[idx[1:]] - cs[idx[:-1]]) / counts
-        per_run_av[i] = iso2631.combine(mean_squares, k_factors)
+    per_run_av = np.asarray(per_run_av, dtype=float)
     a_v = per_run_av.mean(axis=0) if reduction == "mean" else per_run_av.max(axis=0)
 
     labels = [iso2631.classify_iso(value).label for value in a_v]
     rows = _label_rows(labels, iso2631.COMFORT_LABELS[1:])  # NU windows are the non-critical rest
     report = SectionReport(
-        method="iso2631", window_length=float(edges[1] - edges[0]), total_windows=n_windows, rows=rows
+        method="iso2631", window_length=float(edges[1] - edges[0]), total_windows=len(a_v), rows=rows
     )
     return IsoWindows(edges=edges, a_v=a_v, labels=labels, report=report)
 

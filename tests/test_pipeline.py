@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 import ridekit
-from ridekit import iso2631, road, thresholds
+from ridekit import iso2631, road, sampling, thresholds
 from ridekit.cli import main
 from ridekit.config import check_smoothing_fits, load_config
 from ridekit.errors import ConfigError
@@ -188,6 +188,7 @@ class TestConfig:
             ("scenario", {"distributions": {"l_p": {"kind": "gaussian", "mu": float("nan"), "sigma": 0.2}}}),
             ("scenario", {"lane_half_width": -1.0}),
             ("road", {"synthetic": {**ROAD_B, "lateral_span": 1.5}}),
+            ("analysis", {"methods": []}),
         ],
         ids=[
             "aggregator", "iso_reduction", "ds", "weightings", "dt", "segment_m", "speed_kmh", "window_below_ds",
@@ -197,7 +198,7 @@ class TestConfig:
             "lambda_x_nan", "lambda_y_inf", "length_inf", "patch_missing_start", "patch_non_numeric", "patch_outside",
             "negative_length", "length_below_ten_steps", "step_too_fine", "window_nan", "iri_speed_inf", "n_inf",
             "n_fractional", "max_iter_inf", "seed_inf", "seed_negative", "c_s_nan", "wheelbase_inf", "speed_inf",
-            "mu_nan", "lane_negative", "road_narrower_than_lane",
+            "mu_nan", "lane_negative", "road_narrower_than_lane", "methods_empty",
         ],
     )
     def test_bad_setting_fails_before_any_output(self, tmp_path, monkeypatch, capsys, section, entry):
@@ -492,6 +493,63 @@ class TestAnalyze:
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["outputs"]) == {p.name for p in out.iterdir()} - {"manifest.json"}
         assert "iri_report.csv" in manifest["outputs"]
+
+    def test_run_too_short_for_iso_weighting_is_a_failure_row(self, tmp_path, capsys):
+        # 100 m at 1000 km/h lasts 0.36 s, under the 1 s the ISO weighting needs
+        path = write_config(
+            tmp_path / "c.yaml",
+            road={"synthetic": {"length": 100.0, "step": 0.1, "roughness_class": "C"}},
+            scenario={"target_speed_kmh": 1000.0},
+            batch={"n": 2, "dt": 0.002},
+        )
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [ConfigError]: every run in the batch failed") and err.count("\n") == 1
+        failures = (out / "failures.csv").read_text().splitlines()[1:]
+        assert failures == [f"{i},signal must cover at least 1 s" for i in range(2)]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["outputs"]) == {p.name for p in out.iterdir()} - {"manifest.json"}
+        assert set(manifest["outputs"]) == {"sample_plan.csv", "failures.csv"}
+
+
+class TestBatchMatchesSingleRuns:
+    def test_each_row_reduces_as_its_single_run(self, tmp_path, monkeypatch):
+        # the reduction analyze applies in its batch gives, for every row that
+        # succeeds, what it gives for a direct simulate of that row, bit for
+        # bit; two of the four l_p strata lie past the 1.5 m lane, so two rows fail
+        calls = []
+        original = sampling.run_batch
+
+        def recording(plan, scenario, params, geometry, reduce, **kwargs):
+            batch = original(plan, scenario, params, geometry, reduce, **kwargs)
+            calls.append((plan, scenario, params, geometry, reduce, kwargs, batch))
+            return batch
+
+        monkeypatch.setattr(sampling, "run_batch", recording)
+        path = write_config(
+            tmp_path / "c.yaml",
+            road={"synthetic": {"length": 200.0, "step": 0.1, "roughness_class": "C", "lateral_span": 2.5}},
+            scenario={
+                "target_speed_kmh": 54.0,
+                "lane_half_width": 1.5,
+                "distributions": {"l_p": {"kind": "uniform", "a": 0.0, "b": 3.0}},
+            },
+            batch={"n": 4, "dt": 0.002},
+        )
+        analyze(load_config(path), tmp_path / "out")
+        [(plan, scenario, params, geometry, reduce, kwargs, batch)] = calls
+        failed = [i for i, _ in batch.failures]
+        assert len(failed) == 2
+        kept = [i for i in range(plan.n) if i not in failed]
+        for i, (space, a_v) in zip(kept, batch.reduced, strict=True):
+            run = simulate(scenario.with_inputs(**plan.row_inputs(i)), params, geometry, **kwargs)
+            single_space, single_a_v = reduce(run)
+            assert set(space) == set(single_space) == {"ax", "ay", "az", "vx"}
+            for ch, series in space.items():
+                assert (series.s0, series.ds) == (single_space[ch].s0, single_space[ch].ds)
+                assert np.array_equal(series.values, single_space[ch].values)
+            assert len(a_v) == 40 and np.array_equal(a_v, single_a_v)
 
 
 class TestSharedWork:

@@ -99,7 +99,9 @@ def test_iso_windows_count_every_window_and_labels_follow_a_v(seed, n_runs, n, s
     starts = step * rng.integers(0, 40, n_runs)
     runs = [_response(rng, n, 0.005, step, start, scale) for start in starts]
     edges = sections.window_edges(starts.max(), starts.min() + step * (n - 1) - starts.max(), l_cr)
-    out = sections.classify_windows_iso(runs, edges, reduction=reduction)
+    weightings = {axis: iso2631.load_weighting(w) for axis, w in iso2631.DEFAULT_WEIGHTINGS.items()}
+    per_run_av = [sections.iso_window_av(run, edges, weightings) for run in runs]
+    out = sections.classify_windows_iso(per_run_av, edges, reduction)
     windows = int((starts.min() + step * (n - 1) - starts.max()) // l_cr)
     assert len(out.labels) == out.report.total_windows == windows
     for row in out.report.rows:

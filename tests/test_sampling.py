@@ -121,17 +121,17 @@ class TestRunBatch:
     def test_zero_deviation_row_equals_direct_call(self, batch_setup, car, geometry):
         _, scenario = batch_setup
         plan = SamplePlan(names=("v_dev", "l_p", "mu_rs"), matrix=np.array([[0.0, 0.0, 1.0]]), seed=0)
-        batch = run_batch(plan, scenario, car, geometry, dt=1e-3)
+        batch = run_batch(plan, scenario, car, geometry, reduce=lambda r: r, dt=1e-3)
         direct = simulate(scenario.with_inputs(0.0, 0.0, 1.0), car, geometry, dt=1e-3)
         assert batch.failures == []
-        assert np.array_equal(batch.responses[0].a_z.values, direct.a_z.values)
+        assert np.array_equal(batch.reduced[0].a_z.values, direct.a_z.values)
 
     def test_same_seed_bit_identical(self, batch_setup, car, geometry):
         _, scenario = batch_setup
         dists = default_input_distributions()
         plans = [lhs(dists, 4, seed=8), lhs(dists, 4, seed=8)]
-        batches = [run_batch(p, scenario, car, geometry, dt=2e-3) for p in plans]
-        for a, b in zip(batches[0].responses, batches[1].responses):
+        batches = [run_batch(p, scenario, car, geometry, reduce=lambda r: r, dt=2e-3) for p in plans]
+        for a, b in zip(batches[0].reduced, batches[1].reduced, strict=True):
             assert np.array_equal(a.v_x.values, b.v_x.values)
             assert np.array_equal(a.a_z.values, b.a_z.values)
 
@@ -142,39 +142,52 @@ class TestRunBatch:
             matrix=np.array([[0.0, 0.0, 1.0], [-15.0, 0.0, 1.0], [0.0, 0.0, 0.9]]),
             seed=0,
         )  # second row commands negative speed -> failure
-        batch = run_batch(plan, scenario, car, geometry, dt=2e-3)
+        batch = run_batch(plan, scenario, car, geometry, reduce=lambda r: r, dt=2e-3)
         assert [i for i, _ in batch.failures] == [1]
-        assert batch.responses[1] is None
-        assert batch.responses[0] is not None and batch.responses[2] is not None
-        assert len(batch.successful()) == 2
+        assert len(batch.reduced) == 2
+
+    def test_reduce_error_fails_its_row_alone(self, batch_setup, car, geometry):
+        _, scenario = batch_setup
+        plan = lhs(default_input_distributions(), 3, seed=21)
+        seen = []
+
+        def reduce(run):
+            seen.append(run)
+            if len(seen) == 2:
+                raise InvalidInput("run too short")
+            return len(seen)
+
+        batch = run_batch(plan, scenario, car, geometry, reduce=reduce, dt=2e-3)
+        assert batch.failures == [(1, "run too short")]
+        assert batch.reduced == [1, 3]
 
     @pytest.mark.parametrize("row", [[0.0, 2.0, 1.0], [0.0, 0.0, 1.6]], ids=["l_p", "mu_rs"])
     def test_out_of_bounds_row_fails_alone(self, batch_setup, car, geometry, row):
         _, scenario = batch_setup
         matrix = np.array([[0.1, 0.2, 0.9], row, [-0.1, -0.3, 0.7]])
         plan = SamplePlan(names=("v_dev", "l_p", "mu_rs"), matrix=matrix, seed=0)
-        batch = run_batch(plan, scenario, car, geometry, dt=2e-3)
+        batch = run_batch(plan, scenario, car, geometry, reduce=lambda r: r, dt=2e-3)
         assert [i for i, _ in batch.failures] == [1]
         message = "lane half width" if row[1] else "mu_rs"
         assert message in batch.failures[0][1]
-        for i in (0, 2):
+        for i, run in zip((0, 2), batch.reduced, strict=True):
             direct = simulate(scenario.with_inputs(*matrix[i]), car, geometry, dt=2e-3)
-            assert np.array_equal(batch.responses[i].a_z.values, direct.a_z.values)
-            assert np.array_equal(batch.responses[i].s.values, direct.s.values)
+            assert np.array_equal(run.a_z.values, direct.a_z.values)
+            assert np.array_equal(run.s.values, direct.s.values)
 
     def test_unknown_plan_column_rejected(self, batch_setup, car, geometry):
         _, scenario = batch_setup
         plan = SamplePlan(names=("v_dev", "wind"), matrix=np.zeros((1, 2)), seed=0)
         with pytest.raises(ConfigError):
-            run_batch(plan, scenario, car, geometry)
+            run_batch(plan, scenario, car, geometry, reduce=lambda r: r)
 
     def test_row_permutation_permutes_outputs(self, batch_setup, car, geometry):
         _, scenario = batch_setup
         plan = lhs(default_input_distributions(), 3, seed=21)
         permuted = SamplePlan(names=plan.names, matrix=plan.matrix[::-1].copy(), seed=21)
-        batch = run_batch(plan, scenario, car, geometry, dt=2e-3)
-        flipped = run_batch(permuted, scenario, car, geometry, dt=2e-3)
-        for a, b in zip(batch.responses, flipped.responses[::-1]):
+        batch = run_batch(plan, scenario, car, geometry, reduce=lambda r: r, dt=2e-3)
+        flipped = run_batch(permuted, scenario, car, geometry, reduce=lambda r: r, dt=2e-3)
+        for a, b in zip(batch.reduced, flipped.reduced[::-1], strict=True):
             assert np.array_equal(a.a_z.values, b.a_z.values)
 
     @pytest.mark.parametrize("threads", [2, 4])

@@ -8,6 +8,7 @@ from ridekit.sections import (
     classify_windows_iri,
     classify_windows_iso,
     find_critical,
+    iso_window_av,
     window_edges,
 )
 from ridekit.signals import SpaceSeries
@@ -30,6 +31,15 @@ def series_edges(series, l_cr=5.0):
 
 def critical(flag, l_cr=5.0):
     return find_critical(flag, series_edges(flag.series, l_cr))
+
+
+WEIGHTINGS = {axis: iso2631.load_weighting(w) for axis, w in iso2631.DEFAULT_WEIGHTINGS.items()}
+
+
+def iso_windows(runs, edges, k_factors=(1.0, 1.0, 1.0)):
+    """Per-run a_v on ``edges`` under the default weightings, reduced across the runs by their mean."""
+    per_run_av = [iso_window_av(run, edges, WEIGHTINGS, k_factors) for run in runs]
+    return classify_windows_iso(per_run_av, edges)
 
 
 def run_edges(runs, l_cr=5.0):
@@ -82,9 +92,7 @@ class TestFindCritical:
     "classify",
     [
         lambda: critical(flag_from(np.zeros(100), ds=1.0), 0.5),
-        lambda: classify_windows_iso(
-            [constant_speed_response(v=10.0, dt=0.005, n=2001)], window_edges(0.0, 100.0, 0.025)
-        ),
+        lambda: iso_windows([constant_speed_response(v=10.0, dt=0.005, n=2001)], window_edges(0.0, 100.0, 0.025)),
         lambda: classify_windows_iri(SpaceSeries(0.0, 1.0, np.ones(100)), 15.0, window_edges(0.0, 100.0, 0.5)),
     ],
     ids=["find_critical", "classify_windows_iso", "classify_windows_iri"],
@@ -98,7 +106,7 @@ def test_window_shorter_than_sample_step_rejected(classify):
 class TestIsoWindows:
     def test_zero_traces_all_not_uncomfortable(self):
         runs = [constant_speed_response(v=10.0, dt=0.005, n=6001) for _ in range(3)]
-        out = classify_windows_iso(runs, run_edges(runs))
+        out = iso_windows(runs, run_edges(runs))
         assert set(out.labels) == {"NU"}
         assert np.all(out.a_v < 1e-12)
         assert all(iso2631.classify_iso(v).perception == "below" for v in out.a_v)
@@ -108,7 +116,7 @@ class TestIsoWindows:
     def test_smooth_road_stays_not_uncomfortable(self, car, geometry):
         grid = straight_grid(synth_profile(400.0, 0.1, "A", 17), 0.1)
         run = simulate(Scenario(road=grid, target_speed=SpeedProfile.constant(80.0 / 3.6)), car, geometry)
-        out = classify_windows_iso([run], run_edges([run]))
+        out = iso_windows([run], run_edges([run]))
         assert np.max(out.a_v) < 0.315
         assert set(out.labels) == {"NU"}
 
@@ -121,7 +129,7 @@ class TestIsoWindows:
         profile[patch] = rough[patch]
         grid = straight_grid(profile, step)
         run = simulate(Scenario(road=grid, target_speed=SpeedProfile.constant(80.0 / 3.6)), car, geometry)
-        out = classify_windows_iso([run], run_edges([run]))
+        out = iso_windows([run], run_edges([run]))
         flagged = [k for k, lab in enumerate(out.labels) if lab != "NU"]
         assert flagged, "patch must trip at least one window"
         assert all(out.edges[k + 1] > 480.0 - 1e-6 for k in flagged), "no flags away from the patch"
@@ -130,14 +138,14 @@ class TestIsoWindows:
         rng = np.random.default_rng(8)
         runs = [constant_speed_response(v=10.0, dt=0.005, n=6001, channel_values=rng.normal(0.0, 0.5, 6001))
                 for _ in range(2)]
-        base = classify_windows_iso(runs, run_edges(runs), k_factors=(1.0, 1.0, 1.0))
-        doubled = classify_windows_iso(runs, run_edges(runs), k_factors=(1.0, 1.0, 2.0))
+        base = iso_windows(runs, run_edges(runs), k_factors=(1.0, 1.0, 1.0))
+        doubled = iso_windows(runs, run_edges(runs), k_factors=(1.0, 1.0, 2.0))
         assert np.all(base.a_v > 0)
         assert np.array_equal(doubled.a_v, 2.0 * base.a_v)
 
     def test_report_counts_are_exclusive(self):
         runs = [constant_speed_response(v=10.0, dt=0.005, n=6001)]
-        out = classify_windows_iso(runs, run_edges(runs))
+        out = iso_windows(runs, run_edges(runs))
         for row in out.report.rows:
             assert row.c + row.n == out.report.total_windows
 
