@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 
 from ridekit.calibration import CALIBRATION_PARAMETERS, apply_parameters
 from ridekit.errors import NumericFailure
-from ridekit.integrators import _BLOCK_ROWS, _blocked_matmul, half_grid_input, rk4_lti, rk4_lti_loop
+from ridekit.integrators import (
+    _BLOCK_ROWS,
+    _blocked_matmul,
+    _interleaved,
+    half_grid_input,
+    rk4_lti,
+    rk4_lti_loop,
+)
 from ridekit.iri import GOLDEN_CAR
 from ridekit.vehicle import MAX_DT, corner_system, default_car
 
@@ -15,6 +22,43 @@ def random_stable_system(rng, n=4, m=2):
     a = a - (np.max(np.linalg.eigvals(a).real) + 1.0) * np.eye(n)
     b = rng.normal(size=(n, m))
     return a, b
+
+
+def rk4_lti_whole(A, B, u_half, dt, x0):
+    """The modal path as one solve per mode over the whole call, without its
+    error checks; the reference for ``rk4_lti``'s chunks."""
+    from scipy.linalg import lapack, schur
+
+    A, B, u, x0 = (np.asarray(v, dtype=float) for v in (A, B, u_half, x0))
+    n_steps = (u.shape[0] - 1) // 2
+    T, Q = schur(A, output="complex")
+    n = len(T)
+    M = dt * T
+    I = np.eye(n)
+    phi = I + M @ (I + M @ (I / 2 + M @ (I / 6 + M / 24)))
+    qb = Q.conj().T @ B
+    g0 = dt * (I / 6 + M @ (I / 6 + M @ (I / 12 + M / 24))) @ qb
+    gm = dt * (2 * I / 3 + M @ (I / 3 + M / 12)) @ qb
+    g1 = dt / 6 * qb
+    w = (
+        _blocked_matmul(u[0:-2:2], _interleaved(g0.T))
+        + _blocked_matmul(u[1:-1:2], _interleaved(gm.T))
+        + _blocked_matmul(u[2::2], _interleaved(g1.T))
+    )
+    w = w.view(complex)
+    ys = np.empty((n_steps + 1, n), dtype=complex)
+    ys[0] = Q.conj().T @ x0
+    band = np.ones((2, n_steps), dtype=complex, order="F")
+    for i in reversed(range(n)):
+        p = phi[i, i]
+        drive = w[:, i] + sum(phi[i, j] * ys[:-1, j] for j in range(i + 1, n))
+        drive[0] += p * ys[0, i]
+        band[1] = -p
+        y, _ = lapack.ztbtrs(band, drive[:, None], uplo="L", diag="U", overwrite_b=1)
+        ys[1:, i] = y[:, 0]
+    states = _blocked_matmul(ys.view(float), _interleaved(Q.conj()).T)
+    states[0] = x0
+    return states
 
 
 class TestHalfGrid:
@@ -145,3 +189,57 @@ def test_modal_path_matches_literal_loop_on_corners(values, rear, dt, n_steps, s
         fast = rk4_lti(a, b, inputs, dt, x0)
         slow = rk4_lti_loop(a, b, inputs, dt, x0)
         assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_steps=st.sampled_from([1, 1000, B, 2 * B - 1, 2 * B, 2 * B + 1, 3 * B, 3 * B + 1]),
+    car=st.one_of(st.none(), calibration_values),
+    rear=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chunked_path_is_bit_identical_to_one_solve(n_steps, car, rear, seed):
+    """Chunks of ``_BLOCK_ROWS`` steps give the states of one solve over the
+    whole call bit for bit: on one, two and three chunks, around the two-block
+    edge, and on a random stable system or a drawn corner."""
+    rng = np.random.default_rng(seed)
+    if car is None:
+        a, b = random_stable_system(rng, n=int(rng.integers(1, 7)), m=int(rng.integers(1, 4)))
+        dt = 0.01
+    else:
+        front_params, rear_params = apply_parameters(default_car(), default_car(), car)
+        a, b = corner_system(rear_params if rear else front_params)
+        dt = MAX_DT * rng.uniform(0.1, 1.0)
+    u = rng.normal(0.0, 0.01, (2 * n_steps + 1, b.shape[1]))
+    x0 = rng.normal(0.0, 0.01, a.shape[0])
+    assert np.array_equal(rk4_lti(a, b, u, dt, x0), rk4_lti_whole(a, b, u, dt, x0))
+
+
+class TestErrorsPastTheFirstChunk:
+    @pytest.mark.parametrize("chunk", [2, 3])
+    def test_failed_solve_in_a_later_chunk_raises(self, monkeypatch, chunk):
+        from scipy.linalg import lapack
+
+        ztbtrs, calls = lapack.ztbtrs, []
+
+        def failing_in_chunk(ab, b, **kwargs):
+            calls.append(len(b))
+            y, info = ztbtrs(ab, b, **kwargs)
+            return (y, 7) if len(calls) == 4 * (chunk - 1) + 2 else (y, info)  # 4 modes a chunk
+
+        monkeypatch.setattr(lapack, "ztbtrs", failing_in_chunk)
+        a, b = random_stable_system(np.random.default_rng(3))
+        u = np.zeros((2 * 3 * B + 1, 2))
+        with pytest.raises(NumericFailure, match="LAPACK info 7"):
+            rk4_lti(a, b, u, 0.01, np.ones(4))
+        # the failing call solved a later chunk: its first unknown is the carried value
+        assert calls[-1] == B + 1
+
+    def test_divergence_in_the_last_chunk_raises(self):
+        a, b = np.array([[-1.0]]), np.array([[1.0]])
+        u = np.zeros((2 * 3 * B + 1, 1))
+        u[2 * (2 * B + 100) :] = 1e12  # the state passes 1e9 only in the third chunk
+        ok = rk4_lti(a, b, u[: 2 * 2 * B + 1], 0.01, np.zeros(1))
+        assert np.max(np.abs(ok)) == 0.0
+        with pytest.raises(NumericFailure, match="state integration diverged"):
+            rk4_lti(a, b, u, 0.01, np.zeros(1))
