@@ -14,14 +14,25 @@ LAPACK banded triangular solve per mode, from the last mode up, instead of a
 Python loop.  Long calls run in chunks of ``_BLOCK_ROWS`` steps so that the
 work arrays stay in cache; each chunk's solve starts from the values the
 last one carried, and the states are bit-identical to one solve over the
-whole call.  The basis is unitary, so the modal coordinates are no larger
-than the state and their rounding is not amplified, however close ``Phi`` is
-to the identity or the eigenvectors are to each other.  Both paths produce
-the same iterates (up to float rounding); the loop remains as the reference
-in the test suite.
+whole call.  One set of work arrays, sized to the longest chunk, serves every
+chunk of a call: each mode's drive is built in its row of the mode-major
+modal values, and the banded solve overwrites that row in place.  The basis
+is unitary, so the modal coordinates are no larger than the state and their
+rounding is not amplified, however close ``Phi`` is to the identity or the
+eigenvectors are to each other.  Both paths produce the same iterates (up to
+float rounding); the loop remains as the reference in the test suite.
+
+The parts that depend only on ``(A, B, dt)`` (Schur basis, ``Phi``, the input
+matrices, the back-transform) come from ``_discretised``, memoised within the
+process for the last 8 systems, keyed on the bytes and shapes of ``A`` and
+``B`` and on ``float(dt)``; its arrays are read-only.  The corners of a
+symmetric car, the runs of a batch and the repeated points of a calibration
+then discretise once.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -102,6 +113,45 @@ def rk4_lti_loop(A, B, u_half: np.ndarray, dt: float, x0) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def _discretised(a_bytes: bytes, a_shape: tuple, b_bytes: bytes, b_shape: tuple, dt: float) -> tuple:
+    """The parts of ``rk4_lti`` that depend only on ``(A, B, dt)``, read-only.
+
+    ``A`` and ``B`` arrive as their float64 bytes and shapes, so that the
+    cache compares them byte for byte.  Returns ``phi`` (the Schur-basis
+    propagator), the interleaved input matrices ``g0``, ``gm`` and ``g1``, the
+    back-transform ``back`` and ``Q^H``.
+    """
+    from scipy.linalg import schur
+
+    A = np.frombuffer(a_bytes).reshape(a_shape)
+    B = np.frombuffer(b_bytes).reshape(b_shape)
+    T, Q = schur(A, output="complex")
+    n = len(T)
+    M = dt * T
+    I = np.eye(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Phi, G0, Gm and G1 in the Schur basis, by Horner's rule in dt T.
+        phi = I + M @ (I + M @ (I / 2 + M @ (I / 6 + M / 24)))
+        qb = Q.conj().T @ B
+        g0 = dt * (I / 6 + M @ (I / 6 + M @ (I / 12 + M / 24))) @ qb
+        gm = dt * (2 * I / 3 + M @ (I / 3 + M / 12)) @ qb
+        g1 = dt / 6 * qb
+    # The long complex products run as real ones on interleaved parts;
+    # Re(ys @ Q.T) = ys.view(float) @ back.
+    parts = (
+        phi,
+        _interleaved(g0.T),
+        _interleaved(gm.T),
+        _interleaved(g1.T),
+        _interleaved(Q.conj()).T,
+        Q.conj().T,
+    )
+    for part in parts:
+        part.flags.writeable = False
+    return parts
+
+
 def rk4_lti(A, B, u_half: np.ndarray, dt: float, x0) -> np.ndarray:
     """RK4 trajectory of ``x' = A x + B u`` for input sampled on the half grid.
 
@@ -131,72 +181,73 @@ def rk4_lti(A, B, u_half: np.ndarray, dt: float, x0) -> np.ndarray:
     if n_steps == 0:
         return x0[None, :].copy()
 
-    from scipy.linalg import lapack, schur  # one statement: this runs on every call
+    from scipy.linalg import lapack
 
-    T, Q = schur(A, output="complex")
-    n = len(T)
-    M = dt * T
-    I = np.eye(n)
+    phi, g0, gm, g1, back, qh = _discretised(A.tobytes(), A.shape, B.tobytes(), B.shape, float(dt))
+    n = len(phi)
+    u0, um, u1 = u[0:-2:2], u[1:-1:2], u[2::2]
+    # The chunks are the product blocks.  A call under two blocks is one
+    # chunk: there a split-off tail costs more than the cache saves.
+    cuts = range(_BLOCK_ROWS, n_steps - 1, _BLOCK_ROWS) if n_steps >= 2 * _BLOCK_ROWS else ()
+    edges = [0, *cuts, n_steps]
+    longest = max(stop - start for start, stop in zip(edges, edges[1:]))
+    # Work arrays for the longest chunk, reused by every chunk: the modal
+    # inputs (interleaved), a product or row-major copy of the modal values,
+    # the modal values mode by mode with the carried value in column 0, one
+    # drive term and the band of the modal solve.
+    w = np.empty((longest, 2 * n))
+    rows_buf = np.empty((longest + 1, 2 * n))
+    ys = np.empty((n, longest + 1), dtype=complex)
+    term = np.empty(longest, dtype=complex)
+    band = np.empty((2, longest + 1), dtype=complex, order="F")
+    # Allocated after the work arrays.  Allocated before them, the states sat
+    # below them on the heap, so freeing them at return trimmed the heap's
+    # top and the next call faulted it in again: calibrate's 8.45k-step calls
+    # went from 0.4k to 170k minor faults a chain, 0.43 to 0.59 s.
+    states = np.empty((n_steps + 1, n))
     with np.errstate(over="ignore", invalid="ignore"):
-        # Phi, G0, Gm and G1 in the Schur basis, by Horner's rule in dt T.
-        phi = I + M @ (I + M @ (I / 2 + M @ (I / 6 + M / 24)))
-        qb = Q.conj().T @ B
-        g0 = dt * (I / 6 + M @ (I / 6 + M @ (I / 12 + M / 24))) @ qb
-        gm = dt * (2 * I / 3 + M @ (I / 3 + M / 12)) @ qb
-        g1 = dt / 6 * qb
-        # The long complex products run as real ones on interleaved parts,
-        # and everything per step runs one chunk of steps at a time, so the
-        # chunk's work arrays stay in cache; only the states are full length.
-        u0, um, u1 = u[0:-2:2], u[1:-1:2], u[2::2]
-        g0, gm, g1 = _interleaved(g0.T), _interleaved(gm.T), _interleaved(g1.T)
-        back = _interleaved(Q.conj()).T  # Re(ys @ Q.T) = ys.view(float) @ back
-        y_last = Q.conj().T @ x0  # modal values at the chunk's first step
-        # The chunks are the product blocks.  A call under two blocks is one
-        # chunk: there a split-off tail costs more than the cache saves.
-        cuts = range(_BLOCK_ROWS, n_steps - 1, _BLOCK_ROWS) if n_steps >= 2 * _BLOCK_ROWS else ()
-        edges = [0, *cuts, n_steps]
+        ys[:, 0] = qh @ x0
         for start, stop in zip(edges, edges[1:]):
             steps = stop - start
-            w = (
-                _blocked_matmul(u0[start:stop], g0)
-                + _blocked_matmul(um[start:stop], gm)
-                + _blocked_matmul(u1[start:stop], g1)
-            )
-            w = w.view(complex)  # (steps, n) modal inputs
-            ys = np.empty((steps + 1, n), dtype=complex)
-            ys[0] = y_last
+            wk = w[:steps]
+            _blocked_matmul(u0[start:stop], g0, out=wk)
+            wk += _blocked_matmul(um[start:stop], gm, out=rows_buf[:steps])
+            wk += _blocked_matmul(u1[start:stop], g1, out=rows_buf[:steps])
+            wk = wk.view(complex)  # (steps, n) modal inputs
             # Band storage of the unit lower-bidiagonal matrix with -p below
-            # the diagonal; ztbtrs reads no diagonal under diag="U".  After the
+            # the diagonal; ztbtrs reads no diagonal under diag="U", so both
+            # rows hold -p and are filled as one contiguous block.  After the
             # first chunk, the solve's first unknown is the carried value: the
             # unit diagonal keeps it exact, and LAPACK then computes every
             # later value as it would in one solve over the whole call.
             carried = int(start > 0)
-            band = np.ones((2, steps + carried), dtype=complex, order="F")
             for i in reversed(range(n)):  # mode i is driven by the modes after it
                 p = phi[i, i]
-                drive = w[:, i] + sum(phi[i, j] * ys[:-1, j] for j in range(i + 1, n))
-                if carried:
-                    drive = np.concatenate((ys[:1, i], drive))
-                else:
-                    drive[0] += p * ys[0, i]
-                band[1] = -p
-                y, info = lapack.ztbtrs(band, drive[:, None], uplo="L", diag="U", overwrite_b=1)
+                # w_i + (0 + sum_j phi_ij y_j), summed in that order (the
+                # leading 0 keeps a sum of -0.0 terms at +0.0), built in the
+                # row of the mode's values
+                drive = ys[i, 1 : steps + 1]
+                drive[...] = 0
+                for j in range(i + 1, n):
+                    drive += np.multiply(phi[i, j], ys[j, :steps], out=term[:steps])
+                np.add(wk[:, i], drive, out=drive)
+                if not carried:
+                    drive[0] += p * ys[i, 0]
+                # overwrite_b: the solve writes the mode's values over its drive
+                size = steps + carried
+                band[:, :size] = -p
+                _, info = lapack.ztbtrs(
+                    band[:, :size], ys[i, 1 - carried : steps + 1, None], uplo="L", diag="U", overwrite_b=1
+                )
                 if info != 0:
                     raise NumericFailure(f"modal recursion solve failed (LAPACK info {info})")
-                ys[1:, i] = y[carried:, 0]
             # Each chunk writes the states of its own steps, the last one also
             # the final state; the next chunk starts from the carried value.
             rows = steps + (stop == n_steps)
-            if start == 0:
-                # Allocated after the first chunk's work arrays.  Allocated
-                # before them, the states sat below them on the heap, so
-                # freeing them at return trimmed the heap's top and the next
-                # call faulted it in again: calibrate's 8.45k-step calls went
-                # from 0.4k to 170k minor faults a chain, 0.43 to 0.59 s.
-                states = np.empty((n_steps + 1, n))
-            _blocked_matmul(ys[:rows].view(float), back, out=states[start : start + rows])
-            y_last = ys[-1]
+            rows_buf[:rows].view(complex)[...] = ys[:, :rows].T
+            _blocked_matmul(rows_buf[:rows], back, out=states[start : start + rows])
+            ys[:, 0] = ys[:, steps]
     states[0] = x0
-    if not np.all(np.isfinite(states)) or np.max(np.abs(states)) > 1e9:
+    if not max(states.max(), -states.min()) <= 1e9:  # NaN fails too
         raise NumericFailure("state integration diverged")
     return states

@@ -8,6 +8,7 @@ from ridekit.errors import NumericFailure
 from ridekit.integrators import (
     _BLOCK_ROWS,
     _blocked_matmul,
+    _discretised,
     _interleaved,
     half_grid_input,
     rk4_lti,
@@ -212,7 +213,60 @@ def test_chunked_path_is_bit_identical_to_one_solve(n_steps, car, rear, seed):
         dt = MAX_DT * rng.uniform(0.1, 1.0)
     u = rng.normal(0.0, 0.01, (2 * n_steps + 1, b.shape[1]))
     x0 = rng.normal(0.0, 0.01, a.shape[0])
-    assert np.array_equal(rk4_lti(a, b, u, dt, x0), rk4_lti_whole(a, b, u, dt, x0))
+    assert rk4_lti(a, b, u, dt, x0).tobytes() == rk4_lti_whole(a, b, u, dt, x0).tobytes()
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+@pytest.mark.parametrize("n_steps", [5, 2 * B + 1])
+def test_zero_input_is_bit_identical_to_one_solve(n_steps, zero):
+    """A state and input of signed zeros give the one solve's bytes, zero
+    signs included, on one chunk and on three."""
+    golden_a, golden_b = corner_system(GOLDEN_CAR)
+    for a, b, dt in [(*corner_system(default_car()), 1e-3), (golden_a, golden_b[:, :1], 2.5e-4)]:
+        u = np.full((2 * n_steps + 1, b.shape[1]), zero)
+        x0 = np.full(4, zero)
+        assert rk4_lti(a, b, u, dt, x0).tobytes() == rk4_lti_whole(a, b, u, dt, x0).tobytes()
+
+
+class TestDiscretisationMemo:
+    def test_systems_one_entry_apart_keep_their_own_states(self):
+        """Interleaved calls on systems that differ in one entry of ``A``, in
+        ``B`` only (the IRI golden car's column view among them) or in ``dt``
+        only each give the one solve's bytes, hit or miss."""
+        a, b = corner_system(default_car())
+        golden_a, golden_b = corner_system(GOLDEN_CAR)
+        a_nudged, b_nudged = a.copy(), b.copy()
+        a_nudged[1, 0] *= 1 + 1e-6
+        b_nudged[3, 1] *= 1 + 1e-6
+        systems = [
+            (a, b, 1e-3),
+            (a_nudged, b, 1e-3),
+            (a, b_nudged, 1e-3),
+            (a, b, 1e-3 * (1 + 1e-6)),
+            (golden_a, golden_b[:, :1], 2.5e-4),
+            (golden_a, np.ascontiguousarray(golden_b[:, :1]), 2.5e-4),
+            (golden_a, golden_b[:, 1:], 2.5e-4),
+        ]
+        rng = np.random.default_rng(11)
+        u = rng.normal(0.0, 0.01, (2 * 300 + 1, 2))
+        x0 = rng.normal(0.0, 0.01, 4)
+        _discretised.cache_clear()
+        seen = {}
+        for k in [0, 1, 0, 2, 0, 3, 4, 5, 6, 4, 1, 2, 3, 6, 5]:
+            a_k, b_k, dt = systems[k]
+            inputs = u[:, : b_k.shape[1]]
+            states = rk4_lti(a_k, b_k, inputs, dt, x0)
+            assert states.tobytes() == rk4_lti_whole(a_k, b_k, inputs, dt, x0).tobytes(), k
+            seen.setdefault(states.tobytes(), set()).add(k)
+        # every variant has its own states, except the golden car's view and copy
+        assert sorted(map(sorted, seen.values())) == [[0], [1], [2], [3], [4, 5], [6]]
+        assert _discretised.cache_info().hits == 15 - 6
+
+    def test_cached_arrays_are_read_only(self):
+        a, b = corner_system(default_car())
+        for part in _discretised(a.tobytes(), a.shape, b.tobytes(), b.shape, 1e-3):
+            with pytest.raises(ValueError):
+                part.flat[0] = 1.0
 
 
 class TestErrorsPastTheFirstChunk:

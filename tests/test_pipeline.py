@@ -591,6 +591,24 @@ class TestSharedWork:
         assert sorted(designs) == sorted((wid, 1.0 / cfg.dt) for wid in weightings.values())
         assert len(weighted) == cfg.n * len(weightings)
 
+    def test_analyze_after_another_car_repeats_its_bundle(self, tmp_path):
+        # the corner discretisations of the first car are cached in the process;
+        # another car in between must neither see them nor change them
+        base = load_config(write_config(tmp_path / "a.yaml", batch={"n": 2, "dt": 0.002}))
+        other = load_config(
+            write_config(
+                tmp_path / "b.yaml",
+                batch={"n": 2, "dt": 0.002},
+                vehicle={"front": {"k_s": 30000.0, "c_s": 2500.0}},
+            )
+        )
+        outs = [tmp_path / name for name in ("o1", "o2", "o3")]
+        for cfg, out in zip((base, other, base), outs, strict=True):
+            analyze(cfg, out)
+        first, second, third = ({p.name: p.read_bytes() for p in out.iterdir()} for out in outs)
+        assert first == third
+        assert first["space_signals.csv"] != second["space_signals.csv"]
+
 
 class TestCliMatchesPipeline:
     def test_thresholds_cli_reproduces_single_run_bundle(self, tmp_path):
