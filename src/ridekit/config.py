@@ -111,15 +111,20 @@ def _number(value, key: str, *, above=None, at_least=None, at_most=None, whole: 
 
 
 def _parse_speed(scenario: dict) -> SpeedProfile:
-    if "profile" in scenario:
-        pairs = scenario["profile"]
-        try:
-            s = np.array([float(p[0]) for p in pairs])
-            v = np.array([float(p[1]) / 3.6 for p in pairs])
-        except (TypeError, IndexError):
-            raise ConfigError("scenario.profile must be a list of [s_m, v_kmh] pairs") from None
+    if "profile" not in scenario:
+        kmh = _number(scenario.get("target_speed_kmh", 80.0), "scenario.target_speed_kmh", above=0)
+        return SpeedProfile.constant(kmh / 3.6)
+    if "target_speed_kmh" in scenario:
+        raise ConfigError("scenario.profile and scenario.target_speed_kmh are both set; give one of them")
+    pairs = scenario["profile"]
+    if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+        raise ConfigError(f"scenario.profile must be a list of [s_m, v_kmh] pairs, got {pairs!r}")
+    s = np.array([_number(p[0], "scenario.profile position") for p in pairs])
+    v = np.array([_number(p[1], "scenario.profile speed") / 3.6 for p in pairs])
+    try:
         return SpeedProfile(breakpoints=s, speeds=v)
-    return SpeedProfile.constant(float(scenario.get("target_speed_kmh", 80.0)) / 3.6)
+    except InvalidInput as exc:
+        raise ConfigError(f"scenario.profile: {exc}") from None
 
 
 def _parse_distributions(spec: dict) -> list[InputDistribution]:

@@ -12,6 +12,7 @@ the corner parameters: :func:`drive_plan` builds them once and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -199,6 +200,36 @@ def _corner_input(h_half: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray
     return u, x0
 
 
+def _stretches(profile: SpeedProfile) -> list[tuple[float, float, float, float, float]]:
+    """The target cut at its breakpoints, as ``(end, v0, b0, width, dv)`` in order of position.
+
+    A stretch's target is ``v0 + (s - b0) / width * dv`` and it lasts up to
+    the first position at or past ``end``: before the first breakpoint, then
+    each linear segment, then past the last.  A segment keeps a position on
+    its closing inner breakpoint (the next one takes over only past it), so
+    its ``end`` is the float after that breakpoint; the last segment gives way
+    on the last breakpoint itself.  A constant stretch has ``dv == 0``, and
+    its target is exactly ``v0``; neighbouring constant stretches at one speed
+    are joined.
+    """
+    bp = profile.breakpoints.tolist()
+    vs = profile.speeds.tolist()
+    last = len(bp) - 2
+    pieces = [(math.nextafter(bp[0], math.inf), vs[0], 0.0, 1.0, 0.0)]
+    for j in range(last + 1):
+        end = bp[j + 1] if j == last else math.nextafter(bp[j + 1], math.inf)
+        pieces.append((end, vs[j], bp[j], bp[j + 1] - bp[j], vs[j + 1] - vs[j]))
+    pieces.append((math.inf, vs[-1], 0.0, 1.0, 0.0))
+    stretches = [pieces[0]]
+    for piece in pieces[1:]:
+        before = stretches[-1]
+        if piece[4] == before[4] == 0.0 and piece[1] == before[1]:
+            stretches[-1] = (piece[0], *before[1:])
+        else:
+            stretches.append(piece)
+    return stretches
+
+
 def _track_speed(
     scenario: Scenario, a_lim: float, dt: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -206,91 +237,125 @@ def _track_speed(
 
     The controller commands ``(target(s) + v_dev - v) / tau`` clipped to the
     acceleration authority; position advances by trapezoidal integration, so s
-    is strictly increasing while v stays positive.
+    is strictly increasing while v stays positive.  Each stretch of the target
+    (:func:`_stretches`) runs as its own step loop on its constants, with the
+    step budget counted across stretches.  The loops keep only the
+    accelerations; :func:`_replay` rebuilds the speeds and positions from them.
 
-    Cruise rule: once a step leaves ``v`` unchanged where the target is
-    constant up to the track end (one breakpoint, or ``s`` past the last),
-    every later step repeats it.  The remaining positions are then one
-    cumulative sum of that step's increment, bit-identical to stepping on.
+    Hold rule: once a step leaves ``v`` unchanged on a constant stretch, every
+    later step of the stretch repeats it.  The positions up to the stretch's
+    end are then one cumulative sum of that step's increment, bit-identical
+    to stepping on.
     """
-    profile = scenario.target_speed
-    # Plain floats: the loop below runs about 3x faster than on np.float64
-    # scalars, with the same bits.
-    bp = profile.breakpoints.tolist()
-    vs = profile.speeds.tolist()
-    n_bp = len(bp)
+    stretches = _stretches(scenario.target_speed)
     s_start = float(scenario.road.stations[0])
     s_end = float(scenario.road.stations[-1])
     tau = _CONTROLLER_TAU
     v_dev = float(scenario.v_dev)
     a_lim = float(a_lim)
+    half_dt = dt * 0.5
 
-    j = 0
-
-    def target(s: float) -> float:
-        nonlocal j
-        if n_bp == 1:
-            return vs[0]
-        while j < n_bp - 2 and s > bp[j + 1]:
-            j += 1
-        if s <= bp[0]:
-            return vs[0]
-        if s >= bp[-1]:
-            return vs[-1]
-        w = (s - bp[j]) / (bp[j + 1] - bp[j])
-        return vs[j] + w * (vs[j + 1] - vs[j])
-
-    v = target(s_start) + v_dev
+    s = s_start
+    k = 0
+    while s >= stretches[k][0]:
+        k += 1
+    _, v0, b0, width, dv = stretches[k]
+    v = v_start = v0 + (s - b0) / width * dv + v_dev
     if v <= 0.1:
         raise NumericFailure("commanded speed is non-positive at the start of the run")
-    s = s_start
     max_steps = int(np.ceil((s_end - s_start) / (0.05 * dt))) + 2
-    vv = [v]
-    aa = []
-    ss = [s]
-    for _ in range(max_steps):
-        v_cmd = target(s) + v_dev
-        if v_cmd <= 0.1:
-            raise NumericFailure("commanded speed dropped to non-positive values")
-        acc = (v_cmd - v) / tau
-        if acc > a_lim:
-            acc = a_lim
-        elif acc < -a_lim:
-            acc = -a_lim
-        v_next = v + dt * acc
-        ds = dt * 0.5 * (v + v_next)
-        cruise = v_next == v and (n_bp == 1 or s >= bp[-1])
-        s = s + ds
-        v = v_next
-        vv.append(v)
-        aa.append(acc)
-        ss.append(s)
+    # Plain floats: the loops run about 3x faster than on np.float64 scalars,
+    # with the same bits.  ``aa`` holds the accelerations of the steps since
+    # (v_from, s_from); ``pieces`` holds the finished (v, a_x, s) pieces, a
+    # held tail as one, and ``done`` counts their steps.
+    pieces = []
+    done = 0
+    v_from, s_from, aa = v, s, []
+    while True:
+        room = max_steps - done - len(aa)
+        if room == 0:
+            raise NumericFailure("speed integration stalled before reaching the track end")
+        end, v0, b0, width, dv = stretches[k]
+        if s_end < end:
+            end = s_end
+        put_a = aa.append
+        if dv == 0.0:
+            v_cmd = v0 + v_dev
+            if v_cmd <= 0.1:
+                raise NumericFailure("commanded speed dropped to non-positive values")
+            for _ in range(room):
+                acc = (v_cmd - v) / tau
+                if acc > a_lim:
+                    acc = a_lim
+                elif acc < -a_lim:
+                    acc = -a_lim
+                v_next = v + dt * acc
+                ds = half_dt * (v + v_next)
+                s = s + ds
+                held = v_next == v
+                v = v_next
+                put_a(acc)
+                if s >= end:
+                    break
+                if held:
+                    tail = _cruise_positions(s, ds, end, max_steps - done - len(aa))
+                    pieces.append(_replay(v_from, s_from, aa, dt))
+                    pieces.append((np.full(len(tail), v), np.full(len(tail), acc), tail))
+                    done += len(aa) + len(tail)
+                    v_from, s_from, aa = v, float(tail[-1]), []
+                    s = s_from
+                    break
+        else:
+            for _ in range(room):
+                v_cmd = v0 + (s - b0) / width * dv + v_dev
+                if v_cmd <= 0.1:
+                    raise NumericFailure("commanded speed dropped to non-positive values")
+                acc = (v_cmd - v) / tau
+                if acc > a_lim:
+                    acc = a_lim
+                elif acc < -a_lim:
+                    acc = -a_lim
+                v_next = v + dt * acc
+                s = s + half_dt * (v + v_next)
+                v = v_next
+                put_a(acc)
+                if s >= end:
+                    break
         if s >= s_end:
             break
-        if cruise:
-            tail = _cruise_positions(s, ds, s_end, max_steps - len(aa))
-            return (
-                np.concatenate([vv, np.full(len(tail), v)]),
-                np.concatenate([aa, np.full(len(tail) + 1, acc)]),
-                np.concatenate([ss, tail]),
-            )
-    else:
-        raise NumericFailure("speed integration stalled before reaching the track end")
-    aa.append(aa[-1])
-    return np.asarray(vv), np.asarray(aa), np.asarray(ss)
+        while s >= stretches[k][0]:
+            k += 1
+    pieces.append(_replay(v_from, s_from, aa, dt))
+    v_arr = np.concatenate([[v_start], *(piece[0] for piece in pieces)])
+    a_arr = np.concatenate([*(piece[1] for piece in pieces), [acc]])
+    s_arr = np.concatenate([[s_start], *(piece[2] for piece in pieces)])
+    return v_arr, a_arr, s_arr
 
 
-def _cruise_positions(s: float, ds: float, s_end: float, room: int) -> np.ndarray:
-    """Positions ``s + ds``, ``s + 2 ds``, ... up to the first at or past ``s_end``.
+def _replay(v: float, s: float, accs: list, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Speeds, accelerations and positions after each step of ``accs``, starting from ``(v, s)``.
+
+    The step loop's sums ``v + dt * acc`` and ``s + dt * 0.5 * (v + v_next)``,
+    taken in the same order: ``np.cumsum`` adds in sequence, so the values
+    are bit-identical to the loop's.
+    """
+    a = np.array(accs, dtype=float)
+    v_all = np.cumsum(np.concatenate([[v], dt * a]))
+    s_all = np.cumsum(np.concatenate([[s], dt * 0.5 * (v_all[:-1] + v_all[1:])]))
+    return v_all[1:], a, s_all[1:]
+
+
+def _cruise_positions(s: float, ds: float, end: float, room: int) -> np.ndarray:
+    """Positions ``s + ds``, ``s + 2 ds``, ... up to the first at or past ``end``.
 
     Accumulated in order, as the step loop adds them; ``room`` is the number
     of steps left before the loop would have given up.
     """
     parts = []
     while room > 0 and ds > 0:
-        n = int(min(room, (s_end - s) / ds + 3))
+        n = int(min(room, (end - s) / ds + 3))
         part = np.cumsum(np.concatenate([[s], np.full(n, ds)]))[1:]
-        k = int(np.searchsorted(part, s_end))
+        k = int(np.searchsorted(part, end))
         if k < n:
             parts.append(part[: k + 1])
             return np.concatenate(parts)

@@ -189,6 +189,9 @@ class TestConfig:
             ("scenario", {"lane_half_width": -1.0}),
             ("road", {"synthetic": {**ROAD_B, "lateral_span": 1.5}}),
             ("analysis", {"methods": []}),
+            ("scenario", {"target_speed_kmh": None, "profile": [[0.0, 80.0, 9.0]]}),
+            ("scenario", {"target_speed_kmh": None, "profile": {"a": 1}}),
+            ("scenario", {"profile": [[0.0, 80.0], [100.0, 60.0]]}),
         ],
         ids=[
             "aggregator", "iso_reduction", "ds", "weightings", "dt", "segment_m", "speed_kmh", "window_below_ds",
@@ -198,7 +201,8 @@ class TestConfig:
             "lambda_x_nan", "lambda_y_inf", "length_inf", "patch_missing_start", "patch_non_numeric", "patch_outside",
             "negative_length", "length_below_ten_steps", "step_too_fine", "window_nan", "iri_speed_inf", "n_inf",
             "n_fractional", "max_iter_inf", "seed_inf", "seed_negative", "c_s_nan", "wheelbase_inf", "speed_inf",
-            "mu_nan", "lane_negative", "road_narrower_than_lane", "methods_empty",
+            "mu_nan", "lane_negative", "road_narrower_than_lane", "methods_empty", "profile_triple",
+            "profile_mapping", "profile_and_speed",
         ],
     )
     def test_bad_setting_fails_before_any_output(self, tmp_path, monkeypatch, capsys, section, entry):
@@ -218,6 +222,24 @@ class TestConfig:
         assert main(["analyze", "--config", str(path), "--out", str(out)]) == 2
         assert "error [ConfigError]" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            {"profile": [[0.0, 80.0, 9.0]]},
+            {"profile": {"a": 1}},
+            {"profile": [[0.0, "fast"]]},
+            {"profile": [[10.0, 80.0], [0.0, 60.0]]},
+            {"profile": []},
+            {"target_speed_kmh": 54.0, "profile": [[0.0, 80.0]]},
+            {"target_speed_kmh": "fast"},
+            {"target_speed_kmh": 0.0},
+        ],
+        ids=["triple", "mapping", "text_speed", "decreasing", "empty", "both_speeds", "constant_text", "constant_zero"],
+    )
+    def test_malformed_speed_names_the_setting(self, tmp_path, scenario):
+        with pytest.raises(ConfigError, match=r"^scenario\.(profile|target_speed_kmh)"):
+            load_config(write_config(tmp_path / "c.yaml", scenario=scenario))
 
     def test_negative_seed_flag_fails_before_any_output(self, tmp_path, capsys):
         out = tmp_path / "out"
