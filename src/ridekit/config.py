@@ -92,9 +92,10 @@ _BOUNDS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 def _number(value, key: str, *, above=None, at_least=None, at_most=None, whole: bool = False):
     """``value`` as a finite number within its bounds, and as an ``int`` when ``whole``.
 
-    Every number the config supplies that builds no domain object is read
-    here, so NaN, infinity, a fractional count or a value past its bound
-    fails the same way wherever it appears.
+    Every number the config supplies is read here, so NaN, infinity, a
+    fractional count or a value past its bound fails the same way wherever
+    it appears, and a non-number fails with the name of its setting.  Values
+    that build a domain object get no bounds here: the object checks them.
     """
     try:
         number = float(value)
@@ -133,12 +134,10 @@ def _parse_distributions(spec: dict) -> list[InputDistribution]:
         if name not in dists:
             raise ConfigError(f"unknown scenario variable {name!r} in scenario.distributions")
         kind = _require(entry, "kind", f"distribution {name!r}")
-        if kind == "gaussian":
-            params = (float(_require(entry, "mu", name)), float(_require(entry, "sigma", name)))
-        elif kind == "uniform":
-            params = (float(_require(entry, "a", name)), float(_require(entry, "b", name)))
-        else:
+        keys = {"gaussian": ("mu", "sigma"), "uniform": ("a", "b")}.get(kind)
+        if keys is None:
             raise ConfigError(f"distribution {name!r}: unknown kind {kind!r}")
+        params = tuple(_number(_require(entry, key, name), f"scenario.distributions.{name}.{key}") for key in keys)
         dists[name] = InputDistribution(name, kind, params)
     return [dists[name] for name in ("v_dev", "l_p", "mu_rs")]
 
@@ -146,7 +145,7 @@ def _parse_distributions(spec: dict) -> list[InputDistribution]:
 def _parse_quarter_car(entry: dict | None, context: str) -> QuarterCarParams:
     entry = entry or {}
     _check_keys(entry, {"m_s", "m_u", "k_s", "c_s", "k_t", "d_t", "mu_tire"}, context)
-    return replace(default_car(), **{k: float(v) for k, v in entry.items()})
+    return replace(default_car(), **{k: _number(v, f"{context}.{k}") for k, v in entry.items()})
 
 
 def check_smoothing_fits(smoothing: SmoothingParams, n_stations: int, n_offsets: int, n_profile: int) -> None:
@@ -247,11 +246,8 @@ def _load_config(path, seed: int | None, out_dir: str | None, methods: tuple[str
         raise ConfigError("road takes either 'file' or 'synthetic', not both")
     smoothing_entry = road.get("smoothing", {})
     _check_keys(smoothing_entry, {"lambda_x", "lambda_y", "lambda_z"}, "road.smoothing")
-    smoothing = SmoothingParams(
-        lambda_x=float(smoothing_entry.get("lambda_x", 0.0)),
-        lambda_y=float(smoothing_entry.get("lambda_y", 0.0)),
-        lambda_z=float(smoothing_entry.get("lambda_z", 0.0)),
-    )
+    lambdas = ("lambda_x", "lambda_y", "lambda_z")
+    smoothing = SmoothingParams(**{lam: _number(smoothing_entry.get(lam, 0.0), f"road.smoothing.{lam}") for lam in lambdas})
     if road_synthetic is not None:
         # the built grid closes the profile with its wrap sample, and its
         # extracted profiles sample the stations one to one
@@ -263,7 +259,7 @@ def _load_config(path, seed: int | None, out_dir: str | None, methods: tuple[str
     target_speed = _parse_speed(scenario)
     # the Scenario default is the one default lane; the preflight builds a
     # Scenario from this value, which checks it
-    lane_half_width = float(scenario.get("lane_half_width", Scenario.lane_half_width))
+    lane_half_width = _number(scenario.get("lane_half_width", Scenario.lane_half_width), "scenario.lane_half_width")
     distributions = _parse_distributions(scenario.get("distributions", {}))
     speed_given = "profile" in scenario or "target_speed_kmh" in scenario
 
@@ -322,7 +318,7 @@ def _load_config(path, seed: int | None, out_dir: str | None, methods: tuple[str
     rear = _parse_quarter_car(vehicle_entry.get("rear", vehicle_entry.get("front")), "vehicle.rear")
     geo_entry = vehicle_entry.get("geometry", {})
     _check_keys(geo_entry, {"wheelbase", "track_width"}, "vehicle.geometry")
-    geometry = replace(default_geometry(), **{k: float(v) for k, v in geo_entry.items()})
+    geometry = replace(default_geometry(), **{k: _number(v, f"vehicle.geometry.{k}") for k, v in geo_entry.items()})
 
     calib = raw.get("calibration", {})
     _check_keys(calib, {"stages", "p0", "tol", "max_iter"}, "calibration")

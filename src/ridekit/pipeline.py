@@ -89,8 +89,8 @@ def _preflight(cfg: PipelineConfig, grid: road.RoadGrid, analysis: bool):
     and, for ``analysis``, the one window partition every method reports on
     and the centre line's IRI segments (``None`` without the iri method).
     """
-    n_profile = len(signals.uniform_grid(grid.stations[0], grid.length, grid.grid_step))
-    check_smoothing_fits(cfg.smoothing, len(grid.stations), len(grid.lateral_offsets), n_profile)
+    n_stations = len(grid.stations)
+    check_smoothing_fits(cfg.smoothing, n_stations, len(grid.lateral_offsets), n_stations)
     scenario = _config_error(
         "scenario", Scenario, grid, cfg.target_speed, lane_half_width=cfg.lane_half_width, smoothing=cfg.smoothing
     )
@@ -105,7 +105,7 @@ def _preflight(cfg: PipelineConfig, grid: road.RoadGrid, analysis: bool):
     edges = _config_error("analysis.window_m", sections.window_edges, grid.stations[0], grid.length, cfg.window_m)
     segments = None
     if "iri" in cfg.methods:
-        profile = road.wheel_track_profile(grid, 0.0, cfg.smoothing, grid.grid_step)
+        profile = road.wheel_track_profile(grid, 0.0, cfg.smoothing)
         speed = cfg.iri_speed_kmh / 3.6
         segments = _config_error("iri", iri_mod.compute_iri, profile, grid.grid_step, speed, cfg.iri_segment_m)
     return scenario, edges, segments

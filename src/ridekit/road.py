@@ -1,5 +1,5 @@
-"""Road surface model: reference line, regular elevation grid, smoothing-spline
-queries, and a synthetic roughness generator.
+"""Road surface model: reference line, regular elevation grid, smoothed
+wheel tracks, and a synthetic roughness generator.
 
 The grid format is a deliberately small text format (see :func:`load_grid`)
 carrying the same semantics as curved-regular-grid road files: a reference line
@@ -16,7 +16,7 @@ import threading
 import numpy as np
 
 from .errors import DomainBoundsError, GridParseError, InvalidInput
-from .signals import is_data_line, parse_rows, uniform_grid
+from .signals import is_data_line, parse_rows
 
 __all__ = [
     "ReferenceLine",
@@ -115,7 +115,8 @@ class RoadGrid:
 
     ``elevations`` has one row per station and one column per lateral offset;
     a grid has at least two offsets, so both wheels of a vehicle can sit
-    inside it.
+    inside it.  Its stations are ``grid_step`` apart (to 1e-6 of the step),
+    so its rows, its IRI step and the vehicle positions share one spacing.
     ``outliers_replaced`` reports how many cells the load-time cleaning step
     replaced with the local median.  The grid is immutable, so the smoothed
     surface of each :class:`SmoothingParams` is built once and kept on it
@@ -132,6 +133,8 @@ class RoadGrid:
     def __post_init__(self):
         if not (self.grid_step > 0):
             raise InvalidInput("grid_step must be > 0")
+        if np.max(np.abs(np.diff(self.ref_line.stations) - self.grid_step)) > 1e-6 * self.grid_step:
+            raise InvalidInput(f"station spacing disagrees with grid_step={self.grid_step}")
         offsets = np.asarray(self.lateral_offsets, dtype=float)
         if offsets.ndim != 1 or offsets.size < 2:
             raise InvalidInput("lateral_offsets must be a 1-D array of at least two offsets")
@@ -246,19 +249,19 @@ def load_grid(path) -> RoadGrid:
         bad = int(np.flatnonzero(np.diff(stations) <= 0)[0])
         row_lines = [n for n, text in enumerate(body, start=lineno + 1) if is_data_line(text)]
         raise GridParseError("stations not strictly increasing", line=row_lines[bad + 1])
-    step = header["station_step"]
-    if np.max(np.abs(np.diff(stations) - step)) > 1e-6 * step:
-        raise GridParseError(f"station spacing disagrees with station_step={step}")
     offsets = header["offset_start"] + header["offset_step"] * np.arange(n_offsets)
     elevations, replaced = _clean_grid(data[:, 3:], data[:, 2])
     ref = ReferenceLine.from_geometry(stations, data[:, 1], data[:, 2])
-    return RoadGrid(
-        ref_line=ref,
-        lateral_offsets=offsets,
-        elevations=elevations,
-        grid_step=float(step),
-        outliers_replaced=replaced,
-    )
+    try:
+        return RoadGrid(
+            ref_line=ref,
+            lateral_offsets=offsets,
+            elevations=elevations,
+            grid_step=header["station_step"],
+            outliers_replaced=replaced,
+        )
+    except InvalidInput as exc:
+        raise GridParseError(str(exc)) from None
 
 
 def _clean_grid(elevations: np.ndarray, ref_elevation: np.ndarray) -> tuple[np.ndarray, int]:
@@ -298,74 +301,54 @@ def _check_range(values, lo, hi, what: str) -> None:
 
 
 class SurfaceInterpolator:
-    """Cubic (smoothing) spline surface over one grid.
+    """The (smoothed) elevation rows of one grid, read across at any lateral offset.
 
-    Build once and query many times; the smoothed grid and the bicubic
-    interpolant over stations and lateral offsets are computed at
-    construction.  With all penalties zero the surface reproduces grid values
-    at the nodes exactly.
+    Build once and read many tracks; the smoothing runs at construction.
+    Every query falls on the grid's stations, so a track is each row's
+    interpolating spline across the offsets (cubic, lower on fewer than four
+    offsets) at one offset.  With all penalties zero a track at an offset
+    node is that column of the grid.
     """
 
     def __init__(self, grid: RoadGrid, params: SmoothingParams | None = None):
-        from scipy.interpolate import RectBivariateSpline, make_smoothing_spline
+        from scipy.interpolate import make_smoothing_spline
 
         self.params = params or SmoothingParams()
         z = grid.elevations
         stations = grid.stations
-        offsets = grid.lateral_offsets
         # The grid keeps its surfaces, so a surface keeping the grid would
         # make a reference cycle that only the cyclic collector frees.
-        self._station_range = (stations[0], stations[-1])
-        self._offset_range = (offsets[0], offsets[-1])
+        self.lateral_offsets = offsets = grid.lateral_offsets
         if self.params.lambda_x > 0 and len(stations) >= _MIN_SMOOTHING_NODES:
             z = make_smoothing_spline(stations, z, lam=self.params.lambda_x, axis=0)(stations)
         if self.params.lambda_y > 0 and len(offsets) >= _MIN_SMOOTHING_NODES:
             z = make_smoothing_spline(offsets, z, lam=self.params.lambda_y, axis=1)(offsets)
-        kx = min(3, len(stations) - 1)
-        ky = min(3, len(offsets) - 1)
-        self._surface = RectBivariateSpline(stations, offsets, z, kx=kx, ky=ky, s=0)
+        self.elevations = z
 
-    def _check_hull(self, s, v) -> None:
-        _check_range(s, *self._station_range, "station")
-        _check_range(v, *self._offset_range, "lateral offset")
+    def track(self, v: float) -> np.ndarray:
+        """Elevations at every station along one lateral offset ``v``."""
+        from scipy.interpolate import make_interp_spline
 
-    def at(self, s, v):
-        """Surface elevation at station(s) ``s`` and lateral offset(s) ``v``."""
-        self._check_hull(s, v)
-        out = self._surface(np.asarray(s, dtype=float), np.asarray(v, dtype=float), grid=False)
-        return float(out) if out.ndim == 0 else out
-
-    def track(self, s: np.ndarray, v: float) -> np.ndarray:
-        """Elevations at increasing stations ``s`` along one lateral offset ``v``.
-
-        Equal to ``at(s, v)`` point for point, from one tensor-product
-        evaluation of the spline instead of one evaluation per point.
-        """
-        self._check_hull(s, v)
-        return self._surface(np.asarray(s, dtype=float), [float(v)])[:, 0]
+        offsets = self.lateral_offsets
+        _check_range(v, offsets[0], offsets[-1], "lateral offset")
+        weights = make_interp_spline(offsets, np.eye(len(offsets)), k=min(3, len(offsets) - 1))(float(v))
+        return self.elevations @ weights
 
 
-def wheel_track_profile(
-    grid: RoadGrid,
-    lateral_offset: float,
-    params: SmoothingParams | None = None,
-    step: float = 0.1,
-) -> np.ndarray:
+def wheel_track_profile(grid: RoadGrid, lateral_offset: float, params: SmoothingParams | None = None) -> np.ndarray:
     """Elevation profile along the reference line at a fixed lateral offset.
 
-    Sampled at uniform ``step`` starting from the first station; this is the
-    smoothed elevation input consumed by the roughness index and the vehicle
-    corners.  ``lambda_z`` applies a final 1-D smoothing pass to the extracted
-    profile.  Every call on one grid with equal ``params`` reads the same
-    surface (:meth:`RoadGrid.surface`).
+    One sample per station; this is the smoothed elevation input consumed by
+    the roughness index and the vehicle corners.  ``lambda_z`` applies a
+    final 1-D smoothing pass to the extracted profile.  Every call on one
+    grid with equal ``params`` reads the same surface (:meth:`RoadGrid.surface`).
     """
     params = params or SmoothingParams()
-    s = uniform_grid(grid.stations[0], grid.length, step)
-    profile = grid.surface(params).track(s, lateral_offset)
+    profile = grid.surface(params).track(lateral_offset)
     if params.lambda_z > 0 and len(profile) >= _MIN_SMOOTHING_NODES:
         from scipy.interpolate import make_smoothing_spline
 
-        profile = make_smoothing_spline(s, profile, lam=params.lambda_z)(s)
+        profile = make_smoothing_spline(grid.stations, profile, lam=params.lambda_z)(grid.stations)
     return profile
 
 

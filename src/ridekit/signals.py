@@ -189,16 +189,13 @@ def uniform_step(x: np.ndarray, message: str) -> float:
     return step
 
 
-def to_space(
-    run: VehicleResponse, channels: str | tuple[str, ...], ds: float
-) -> SpaceSeries | dict[str, SpaceSeries]:
-    """Re-sample one channel, or several, onto a uniform arc-length grid.
+def to_space(run: VehicleResponse, channels: tuple[str, ...], ds: float) -> dict[str, SpaceSeries]:
+    """Re-sample channels onto a uniform arc-length grid, one :class:`SpaceSeries` each.
 
     Channel values are interpolated linearly in time at the instants the run's
-    s(t) mapping crosses each grid position.  Requires strictly increasing s
-    (a reversing or stationary vehicle has no unique s -> t inverse).  A
-    channel name gives its :class:`SpaceSeries`; a tuple of names gives a dict
-    of them, sharing one s -> t inversion.
+    s(t) mapping crosses each grid position; all channels share one s -> t
+    inversion.  Requires strictly increasing s (a reversing or stationary
+    vehicle has no unique s -> t inverse).
     """
     if not (0 < ds < np.inf):
         raise InvalidInput(f"ds must be finite and > 0, got {ds:g}")
@@ -212,11 +209,11 @@ def to_space(
     t = run.s.t
     t_at = np.interp(positions, s, t)
     out = {}
-    for name in (channels,) if isinstance(channels, str) else channels:
+    for name in channels:
         ch = run.channel(name)
         ch_t = t if (ch.t0, ch.dt) == (run.s.t0, run.s.dt) else ch.t
         out[name] = SpaceSeries(s0=float(s[0]), ds=ds, values=np.interp(t_at, ch_t, ch.values))
-    return out[channels] if isinstance(channels, str) else out
+    return out
 
 
 def aggregate(runs: list[SpaceSeries], aggregator: str = "mean") -> SpaceSeries:

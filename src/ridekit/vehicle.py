@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InvalidInput, NumericFailure
 from .integrators import _blocked_matmul, half_grid_input, rk4_lti
 from .road import RoadGrid, SmoothingParams, wheel_track_profile
-from .signals import TimeSeries, VehicleResponse, uniform_grid
+from .signals import TimeSeries, VehicleResponse
 
 __all__ = [
     "GRAVITY",
@@ -440,20 +440,18 @@ def drive_plan(scenario: Scenario, geometry: VehicleGeometry, mu_eff: float, dt:
 
     # --- wheel inputs -------------------------------------------------------------
     offsets = (scenario.l_p + geometry.track_width / 2.0, scenario.l_p - geometry.track_width / 2.0)
-    prof_step = grid.grid_step
-    prof_s = uniform_grid(grid.stations[0], grid.length, prof_step)
-    left = wheel_track_profile(grid, offsets[0], scenario.smoothing, prof_step)
+    left = wheel_track_profile(grid, offsets[0], scenario.smoothing)
     if grid.laterally_uniform and scenario.smoothing.lambda_y == 0:
         grid.check_offset(offsets[1])
         right = left
     else:
-        right = wheel_track_profile(grid, offsets[1], scenario.smoothing, prof_step)
+        right = wheel_track_profile(grid, offsets[1], scenario.smoothing)
 
     s_half = half_grid_input(s_arr)
     s_rear_half = s_half - geometry.wheelbase
 
     def wheel(profile_values: np.ndarray, s_points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _corner_input(np.interp(s_points, prof_s, profile_values), dt)
+        return _corner_input(np.interp(s_points, grid.stations, profile_values), dt)
 
     fl, rl = wheel(left, s_half), wheel(left, s_rear_half)
     if right is left:

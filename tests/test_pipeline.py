@@ -241,6 +241,27 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"^scenario\.(profile|target_speed_kmh)"):
             load_config(write_config(tmp_path / "c.yaml", scenario=scenario))
 
+    @pytest.mark.parametrize(
+        "section, entry, setting",
+        [
+            ("scenario", {"target_speed_kmh": 54.0, "lane_half_width": "wide"}, "scenario.lane_half_width"),
+            ("road", {"synthetic": dict(ROAD_B), "smoothing": {"lambda_x": "soft"}}, "road.smoothing.lambda_x"),
+            ("vehicle", {"front": {"k_s": "stiff"}}, "vehicle.front.k_s"),
+            ("vehicle", {"geometry": {"wheelbase": "long"}}, "vehicle.geometry.wheelbase"),
+            ("scenario", {"target_speed_kmh": 54.0, "distributions": {"v_dev": {"kind": "gaussian", "mu": "x", "sigma": 1.0}}},
+             "scenario.distributions.v_dev.mu"),
+        ],
+        ids=["lane_half_width", "lambda_x", "front_k_s", "wheelbase", "gaussian_mu"],
+    )
+    def test_non_numeric_value_names_the_setting(self, tmp_path, capsys, section, entry, setting):
+        path = write_config(tmp_path / "c.yaml", **{section: entry})
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [ConfigError]: {setting} must be a number, got ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_negative_seed_flag_fails_before_any_output(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["analyze", "--config", str(write_config(tmp_path / "c.yaml")), "--seed", "-3", "--out", str(out)]) == 2
@@ -443,7 +464,7 @@ class TestAnalyze:
         cfg = load_config(path)
         summary = analyze(cfg, tmp_path / "out")
         grid = build_road(cfg)
-        profile = road.wheel_track_profile(grid, 0.0, cfg.smoothing, grid.grid_step)
+        profile = road.wheel_track_profile(grid, 0.0, cfg.smoothing)
         (segment,) = compute_iri(profile, grid.grid_step, speed=80.0 / 3.6, segment_length=100.0)
         iri_windows = summary["reports"]["iri"]
         assert iri_windows.report.total_windows == 30
@@ -465,7 +486,7 @@ class TestAnalyze:
         cfg = load_config(path)
         summary = analyze(cfg, tmp_path / "out")
         grid = build_road(cfg)
-        profile = road.wheel_track_profile(grid, 0.0, cfg.smoothing, grid.grid_step)
+        profile = road.wheel_track_profile(grid, 0.0, cfg.smoothing)
         segments = compute_iri(profile, grid.grid_step, speed=80.0 / 3.6, segment_length=5.0)
         iri_windows = summary["reports"]["iri"]
         assert len(segments) == iri_windows.report.total_windows == 60

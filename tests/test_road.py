@@ -150,6 +150,22 @@ class TestRoadGrid:
         with pytest.raises(InvalidInput, match="at least two offsets"):
             straight_grid(np.zeros(20), 0.1, lateral_span=0.0)
 
+    def test_grid_step_must_match_the_stations(self):
+        # the rows, the IRI step and the vehicle positions share one spacing
+        ref = ReferenceLine.from_geometry(0.1 * np.arange(6), np.zeros(6), np.zeros(6))
+
+        def grid(step, stations=ref):
+            return RoadGrid(ref_line=stations, lateral_offsets=np.array([-1.0, 1.0]), elevations=np.zeros((6, 2)), grid_step=step)
+
+        for step in (0.1, 0.1 * (1 + 9e-7), 0.1 * (1 - 9e-7)):
+            assert grid(step).grid_step == step
+        for step in (0.2, 0.05, 0.1 * (1 + 2e-6)):
+            with pytest.raises(InvalidInput, match="spacing"):
+                grid(step)
+        uneven = ReferenceLine.from_geometry([0.0, 0.1, 0.2, 0.3, 0.45, 0.55], np.zeros(6), np.zeros(6))
+        with pytest.raises(InvalidInput, match="spacing"):
+            grid(0.1, uneven)
+
     def test_grid_with_a_built_surface_freed_at_del(self):
         # no reference cycle: reference counting alone frees the grid
         grid = _bumpy_grid(np.random.default_rng(0))
@@ -167,47 +183,47 @@ class TestRoadGrid:
 class TestElevationAt:
     def test_flat_zero_everywhere(self, flat_grid_file):
         grid = load_grid(flat_grid_file)
-        assert SurfaceInterpolator(grid, SmoothingParams()).at(0.5, -0.3) == pytest.approx(0.0, abs=1e-12)
+        assert np.array_equal(SurfaceInterpolator(grid, SmoothingParams()).track(-0.3), np.zeros(2))
 
     def test_interpolation_reproduces_nodes(self):
         rng = np.random.default_rng(3)
         grid = _bumpy_grid(rng)
         interp = SurfaceInterpolator(grid, SmoothingParams())
-        for i in (0, 3, 7):
-            for j in (0, 2, 4):
-                got = interp.at(grid.stations[i], grid.lateral_offsets[j])
-                assert got == pytest.approx(grid.elevations[i, j], abs=1e-9)
+        for j in range(len(grid.lateral_offsets)):
+            got = interp.track(grid.lateral_offsets[j])
+            assert np.max(np.abs(got - grid.elevations[:, j])) < 1e-12
 
     def test_plane_reproduced_at_midpoints(self):
-        # elevations sample z = 0.01 s: cubic splines reproduce linear fields
+        # elevations sample z = 0.01 s + 0.02 v: cubic splines reproduce
+        # linear fields between the offset nodes
         stations = np.arange(12.0)
         offsets = np.array([-1.0, 0.0, 1.0, 2.0])
-        z = 0.01 * np.tile(stations[:, None], (1, 4))
+        z = 0.01 * stations[:, None] + 0.02 * offsets[None, :]
         grid = RoadGrid(
             ref_line=ReferenceLine.from_geometry(stations, np.zeros(12), np.zeros(12)),
             lateral_offsets=offsets,
             elevations=z,
             grid_step=1.0,
         )
-        value = SurfaceInterpolator(grid, SmoothingParams()).at(5.5, 0.5)
-        assert value == pytest.approx(0.055, abs=1e-9)
+        for v in (-0.5, 0.5, 1.5):
+            got = SurfaceInterpolator(grid, SmoothingParams()).track(v)
+            assert np.max(np.abs(got - (0.01 * stations + 0.02 * v))) < 1e-12
 
     def test_out_of_hull(self):
         grid = _bumpy_grid(np.random.default_rng(0))
         interp = SurfaceInterpolator(grid)
-        with pytest.raises(DomainBoundsError):
-            interp.at(-1.0, 0.0)
-        with pytest.raises(DomainBoundsError):
-            interp.at(0.0, 99.0)
+        for v in (-2.1, 99.0):
+            with pytest.raises(DomainBoundsError, match="lateral offset"):
+                interp.track(v)
+        interp.track(2.0 + 1e-10)  # within the 1e-9 slack
 
     def test_continuity(self):
+        # across the offsets: a track moves little when its offset does
         rng = np.random.default_rng(11)
         grid = _bumpy_grid(rng)
         interp = SurfaceInterpolator(grid, SmoothingParams(lambda_x=0.1, lambda_y=0.0))
-        s = rng.uniform(grid.stations[0], grid.stations[-1] - 1e-5, 100)
-        v = rng.uniform(grid.lateral_offsets[0], grid.lateral_offsets[-1], 100)
-        jump = np.abs(interp.at(s + 1e-6, v) - interp.at(s, v))
-        assert np.max(jump) < 1e-3
+        for v in rng.uniform(grid.lateral_offsets[0], grid.lateral_offsets[-1] - 1e-5, 20):
+            assert np.max(np.abs(interp.track(v + 1e-6) - interp.track(v))) < 1e-3
 
 
 def _bumpy_grid(rng) -> RoadGrid:
@@ -252,7 +268,8 @@ class TestSynthProfile:
 class TestWheelTrack:
     def test_flat_grid_zero_profile(self, flat_grid_file):
         grid = load_grid(flat_grid_file)
-        profile = wheel_track_profile(grid, 0.3, step=0.25)
+        profile = wheel_track_profile(grid, 0.3)
+        assert len(profile) == len(grid.stations)
         assert np.allclose(profile, 0.0, atol=1e-12)
 
     def test_transverse_tilt_gives_constant(self):
@@ -266,7 +283,7 @@ class TestWheelTrack:
             elevations=z,
             grid_step=1.0,
         )
-        profile = wheel_track_profile(grid, 1.5, step=0.5)
+        profile = wheel_track_profile(grid, 1.5)
         assert np.allclose(profile, tilt * 1.5, atol=1e-9)
 
     def test_centerline_matches_reference_samples(self):
@@ -276,41 +293,59 @@ class TestWheelTrack:
         z = np.tile(wave[:, None], (1, 3))
         ref = ReferenceLine.from_geometry(stations, np.zeros(20), wave)
         grid = RoadGrid(ref_line=ref, lateral_offsets=offsets, elevations=z, grid_step=0.5)
-        profile = wheel_track_profile(grid, 0.0, step=0.5)
+        profile = wheel_track_profile(grid, 0.0)
         assert np.max(np.abs(profile - wave)) < 1e-9
 
     def test_lambda_z_smooths_extracted_profile(self):
         rough = synth_profile(100.0, 0.1, "D", 21)
         grid = straight_grid(rough, 0.1)
-        raw = wheel_track_profile(grid, 0.0, SmoothingParams(), step=0.1)
-        smooth = wheel_track_profile(grid, 0.0, SmoothingParams(lambda_z=1.0), step=0.1)
+        raw = wheel_track_profile(grid, 0.0, SmoothingParams())
+        smooth = wheel_track_profile(grid, 0.0, SmoothingParams(lambda_z=1.0))
         assert np.std(np.diff(smooth)) < np.std(np.diff(raw))
 
     def test_offset_outside_grid(self, flat_grid_file):
         grid = load_grid(flat_grid_file)
         with pytest.raises(DomainBoundsError):
-            wheel_track_profile(grid, 5.0, step=0.5)
+            wheel_track_profile(grid, 5.0)
 
-    def test_equals_pointwise_surface_queries(self):
-        # the track reads a surface kept on the grid, evaluated on a tensor
-        # grid; it must equal a fresh surface queried point by point
+    def test_equals_a_fresh_surface(self):
+        # the track reads a surface kept on the grid; it must equal a fresh
+        # surface read at the same offset
         grid = curved_crossfall_grid()
         params = SmoothingParams(lambda_x=1e-3)
         reference = SurfaceInterpolator(grid, params)
         for offset in (-2.5, -0.8, 0.0, 0.35, 2.6):
-            for step in (0.05, 0.07):
-                profile = wheel_track_profile(grid, offset, params, step=step)
-                s = grid.stations[0] + step * np.arange(len(profile))
-                assert np.array_equal(profile, reference.at(s, offset))
+            assert np.array_equal(wheel_track_profile(grid, offset, params), reference.track(offset))
         with pytest.raises(DomainBoundsError):
-            wheel_track_profile(grid, 2.7, params, step=0.05)
+            wheel_track_profile(grid, 2.7, params)
+
+    @pytest.mark.parametrize("make_grid", [2, 3, 4, 11, curved_crossfall_grid], ids=["2", "3", "4", "11", "uneven"])
+    def test_equals_the_bicubic_surface_at_every_station(self, make_grid):
+        # the rows' spline across the offsets, read at one offset, is the
+        # interpolating surface through the grid (cubic along the stations;
+        # cubic across the offsets, lower below four) read at the stations
+        rng = np.random.default_rng(17)
+        if callable(make_grid):
+            grid = make_grid()
+        else:
+            stations = 0.1 * np.arange(40)
+            z = 0.02 * rng.standard_normal((40, make_grid))
+            ref = ReferenceLine.from_geometry(stations, np.zeros(40), np.zeros(40))
+            offsets = np.linspace(-2.0, 2.0, make_grid)
+            grid = RoadGrid(ref_line=ref, lateral_offsets=offsets, elevations=z, grid_step=0.1)
+        s, v, z = grid.stations, grid.lateral_offsets, grid.elevations
+        bicubic = RectBivariateSpline(s, v, z, kx=3, ky=min(3, len(v) - 1), s=0)
+        surface = SurfaceInterpolator(grid)
+        tol = 1e-13 * (z.max() - z.min())
+        for offset in np.concatenate([v, rng.uniform(v[0], v[-1], 40)]):
+            assert np.max(np.abs(surface.track(offset) - bicubic(s, [offset])[:, 0])) <= tol, offset
 
 
 class TestSmoothedSurface:
     @pytest.mark.parametrize("lam_x, lam_y", [(1e-3, 0.0), (0.0, 1e-2), (1e-3, 1e-2)], ids=["columns", "rows", "both"])
     def test_one_call_per_axis_equals_per_line_loop(self, lam_x, lam_y):
         # reference: one 1-D smoothing spline per offset column, then one per
-        # station row, before the bicubic fit
+        # station row
         grid = curved_crossfall_grid()
         s, v = grid.stations, grid.lateral_offsets
         z = grid.elevations
@@ -319,10 +354,8 @@ class TestSmoothedSurface:
         if lam_y > 0:
             z = np.vstack([make_smoothing_spline(v, z[i, :], lam=lam_y)(v) for i in range(z.shape[0])])
         assert not np.allclose(z, grid.elevations, rtol=0, atol=1e-6)
-        reference = RectBivariateSpline(s, v, z, kx=3, ky=3, s=0)
         surface = SurfaceInterpolator(grid, SmoothingParams(lambda_x=lam_x, lambda_y=lam_y))
-        for offset in v:
-            assert np.array_equal(surface.track(s, offset), reference(s, [offset])[:, 0])
+        assert np.array_equal(surface.elevations, z)
 
     @pytest.mark.parametrize("penalty", ["lambda_x", "lambda_y", "lambda_z"])
     def test_axis_below_five_nodes_left_unsmoothed(self, penalty):
@@ -333,8 +366,8 @@ class TestSmoothedSurface:
             ref = ReferenceLine.from_geometry(stations, np.zeros(n), np.zeros(n))
             z = 0.01 * np.random.default_rng(n).standard_normal((n, n))
             grid = RoadGrid(ref_line=ref, lateral_offsets=0.5 * np.arange(n) - 0.25 * (n - 1), elevations=z, grid_step=0.1)
-            raw = wheel_track_profile(grid, 0.25, step=0.1)
-            profile = wheel_track_profile(grid, 0.25, SmoothingParams(**{penalty: 1e-3}), step=0.1)
+            raw = wheel_track_profile(grid, 0.25)
+            profile = wheel_track_profile(grid, 0.25, SmoothingParams(**{penalty: 1e-3}))
             assert len(profile) == n
             assert np.array_equal(profile, raw) != smoothed
 
@@ -344,7 +377,8 @@ class TestInvariants:
         rng = np.random.default_rng(2)
         grid = _bumpy_grid(rng)
         interp = SurfaceInterpolator(grid, SmoothingParams(0.0, 0.0, 0.0))
-        got = interp.at(grid.stations, np.full(len(grid.stations), grid.lateral_offsets[1]))
+        assert interp.elevations is grid.elevations
+        got = interp.track(grid.lateral_offsets[1])
         assert np.max(np.abs(got - grid.elevations[:, 1])) < 1e-9
 
     def test_amplitude_scales_with_sqrt_psd(self):

@@ -210,7 +210,7 @@ class TestRunBatch:
 
         def track(k):
             start.wait()
-            profiles[k] = road.wheel_track_profile(grid, offsets[k], smoothing, 0.1)
+            profiles[k] = road.wheel_track_profile(grid, offsets[k], smoothing)
 
         workers = [threading.Thread(target=track, args=(k,)) for k in range(threads)]
         interval = sys.getswitchinterval()
@@ -226,4 +226,4 @@ class TestRunBatch:
         assert len(builds) == 1
         serial = curved_crossfall_grid()
         for offset, profile in zip(offsets, profiles, strict=True):
-            assert np.array_equal(profile, road.wheel_track_profile(serial, offset, smoothing, 0.1))
+            assert np.array_equal(profile, road.wheel_track_profile(serial, offset, smoothing))

@@ -143,13 +143,13 @@ class TestNrmse:
 class TestToSpace:
     def test_constant_channel_stays_constant(self):
         run = constant_speed_response(channel_values=np.full(51, 4.2))
-        out = to_space(run, "az", ds=0.5)
+        out = to_space(run, ("az",), 0.5)["az"]
         assert np.allclose(out.values, 4.2)
 
     def test_one_sample_per_input_when_ds_matches(self):
         # v = 10 m/s, dt = 0.1 s -> 1 m per sample; ds = 1 m reproduces the sampling
         run = constant_speed_response(v=10.0, dt=0.1, n=51, channel_values=np.arange(51.0))
-        out = to_space(run, "az", ds=1.0)
+        out = to_space(run, ("az",), 1.0)["az"]
         assert len(out) == 51
         assert np.allclose(out.values, np.arange(51.0))
 
@@ -165,7 +165,7 @@ class TestToSpace:
             a_z=run.a_z.with_values(t), phi_rate=run.phi_rate, theta_rate=run.theta_rate,
             psi_rate=run.psi_rate, s=run.s.with_values(s),
         )
-        out = to_space(run, "az", ds=0.1)
+        out = to_space(run, ("az",), 0.1)["az"]
         keep = out.positions >= 0.5  # inversion error scales with 1/v; skip the crawl
         expected = np.sqrt(2.0 * out.positions[keep] / a)
         assert np.max(np.abs(out.values[keep] - expected)) < 1e-9
@@ -175,7 +175,7 @@ class TestToSpace:
         v, dt = 8.0, 0.05
         values = np.cumsum(np.random.default_rng(3).uniform(-1, 1, 101))
         run = constant_speed_response(v=v, dt=dt, n=101, channel_values=values)
-        out = to_space(run, "az", ds=0.13)
+        out = to_space(run, ("az",), 0.13)["az"]
         t_expected = out.positions / v
         direct = np.interp(t_expected, dt * np.arange(101), values)
         assert np.max(np.abs(out.values - direct)) < 1e-12
@@ -194,12 +194,12 @@ class TestToSpace:
             s=run.s.with_values(flat),
         )
         with pytest.raises(InvalidInput):
-            to_space(bad, "az", ds=1.0)
+            to_space(bad, ("az",), 1.0)
 
     def test_span_precondition(self):
         run = constant_speed_response(v=0.1, dt=0.1, n=3)
         with pytest.raises(InvalidInput):
-            to_space(run, "az", ds=1.0)
+            to_space(run, ("az",), 1.0)
 
     @pytest.mark.parametrize("az_t0", [0.0, 1e-13], ids=["shared_time_axis", "az_offset_in_time"])
     def test_shared_inversion_equals_single_channels_bit_for_bit(self, class_c_run, az_t0):
@@ -211,7 +211,7 @@ class TestToSpace:
         assert list(shared) == list(names)
         t_at = np.interp(shared["ax"].positions, run.s.values, run.s.t)
         for name in names:
-            single = to_space(run, name, ds=0.1)
+            single = to_space(run, (name,), 0.1)[name]
             assert (shared[name].s0, shared[name].ds) == (single.s0, single.ds)
             assert np.array_equal(shared[name].values, single.values)
             ch = run.channel(name)

@@ -285,11 +285,10 @@ class TestDrivePlan:
         # corners and rounding noise (~1e-16 deg/s) with four
         scenario = Scenario(road=class_c_grid, target_speed=20.0, l_p=0.4)
         plan = drive_plan(scenario, geometry, car.mu_tire)
-        right = wheel_track_profile(class_c_grid, scenario.l_p - geometry.track_width / 2, step=class_c_grid.grid_step)
+        right = wheel_track_profile(class_c_grid, scenario.l_p - geometry.track_width / 2)
         s_half = half_grid_input(plan.s)
-        prof_s = class_c_grid.grid_step * np.arange(len(right))
-        fr = vehicle._corner_input(np.interp(s_half, prof_s, right), plan.dt)
-        rr = vehicle._corner_input(np.interp(s_half - geometry.wheelbase, prof_s, right), plan.dt)
+        fr = vehicle._corner_input(np.interp(s_half, class_c_grid.stations, right), plan.dt)
+        rr = vehicle._corner_input(np.interp(s_half - geometry.wheelbase, class_c_grid.stations, right), plan.dt)
         four = replace(plan, wheels=(plan.wheels[0], fr, plan.wheels[2], rr))
         assert not four.same_sides
         two_run, four_run = corner_dynamics(plan, car), corner_dynamics(four, car)
