@@ -9,6 +9,7 @@ carrying the intermediate parameter vector from stage to stage.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
@@ -126,6 +127,30 @@ class Residual:
         return float(v @ v)
 
 
+def _shared_samples(sim: TimeSeries, ref: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
+    """The simulated and reference samples a comparison shares, on the reference's time grid."""
+    sim_values = sim.values
+    if abs(sim.dt - ref.dt) > 1e-12 * max(sim.dt, ref.dt):
+        sim_values = np.interp(ref.t, sim.t, sim_values)
+    n = min(len(sim_values), len(ref))
+    if n < 2:
+        raise InvalidInput("traces share fewer than two samples")
+    return sim_values[:n], ref.values[:n]
+
+
+def _value_range(ref_values: np.ndarray) -> float:
+    lo = float(np.min(ref_values))
+    hi = float(np.max(ref_values))
+    if hi - lo <= 0.0:
+        raise InvalidInput("reference range is zero over the shared samples")
+    return hi - lo
+
+
+def _rms_error(sim_values: np.ndarray, ref_values: np.ndarray) -> float:
+    diff = sim_values - ref_values
+    return float(np.sqrt(np.mean(diff * diff)))
+
+
 def channel_error(sim: TimeSeries, ref: TimeSeries) -> float:
     """RMS error of a simulated channel against a reference, over the reference's range.
 
@@ -135,26 +160,75 @@ def channel_error(sim: TimeSeries, ref: TimeSeries) -> float:
     different units and magnitudes comparable; a reference that is constant
     over them is rejected.
     """
-    sim_values = sim.values
-    if abs(sim.dt - ref.dt) > 1e-12 * max(sim.dt, ref.dt):
-        sim_values = np.interp(ref.t, sim.t, sim_values)
-    n = min(len(sim_values), len(ref))
-    if n < 2:
-        raise InvalidInput("traces share fewer than two samples")
-    ref_values = ref.values[:n]
-    lo = float(np.min(ref_values))
-    hi = float(np.max(ref_values))
-    if hi - lo <= 0.0:
-        raise InvalidInput("reference range is zero over the shared samples")
-    diff = sim_values[:n] - ref_values
-    return float(np.sqrt(np.mean(diff * diff))) / (hi - lo)
+    sim_values, ref_values = _shared_samples(sim, ref)
+    value_range = _value_range(ref_values)
+    return _rms_error(sim_values, ref_values) / value_range
+
+
+#: Channels a drive plan fixes: their errors do not depend on the corners.
+_PLAN_CHANNELS = ("vx", "ax", "ay", "psi_rate")
+
+
+class _Comparison:
+    """A reference prepared for repeated residuals.
+
+    The channels compared and skipped are worked out once.  The ranges of the
+    compared reference samples and the errors of the plan's own channels
+    (:data:`_PLAN_CHANNELS`) are worked out on the first residual over a
+    plan, and reused while that plan lives; the plan is held weakly, so a
+    dropped plan is freed.
+    """
+
+    def __init__(self, reference: Mapping[str, TimeSeries] | VehicleResponse):
+        if isinstance(reference, VehicleResponse):
+            reference = {name: reference.channel(name) for name in COMPARISON_CHANNELS}
+        self.compared: dict[str, TimeSeries] = {}
+        self.skipped: list[tuple[str, str]] = []
+        for name in COMPARISON_CHANNELS:
+            ref_ch = reference.get(name)
+            if ref_ch is None:
+                self.skipped.append((name, "absent from reference"))
+            elif np.ptp(ref_ch.values) <= 0.0:
+                self.skipped.append((name, "reference has zero range"))
+            else:
+                self.compared[name] = ref_ch
+        self._per_plan: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+    def _plan_parts(self, sim: VehicleResponse) -> tuple[dict[str, float], dict[str, float]]:
+        """The reference ranges and plan channel errors of ``sim``'s plan."""
+        ranges, plan_errors = {}, {}
+        for name, ref in self.compared.items():
+            sim_values, ref_values = _shared_samples(sim.channel(name), ref)
+            ranges[name] = _value_range(ref_values)
+            if name in _PLAN_CHANNELS:
+                plan_errors[name] = _rms_error(sim_values, ref_values) / ranges[name]
+        return ranges, plan_errors
+
+    def residual(self, sim: VehicleResponse, plan: DrivePlan | None) -> Residual:
+        """The residual of ``sim``, simulated over ``plan`` (``None``: a plan not kept)."""
+        if not self.compared:
+            raise InvalidInput("no overlapping channels between simulation and reference")
+        parts = None if plan is None else self._per_plan.get(plan)
+        if parts is None:
+            parts = self._plan_parts(sim)
+            if plan is not None:
+                self._per_plan[plan] = parts
+        ranges, plan_errors = parts
+        channel_nrmse: dict[str, float] = {}
+        for name, ref in self.compared.items():
+            if name in plan_errors:
+                channel_nrmse[name] = plan_errors[name]
+            else:
+                sim_values, ref_values = _shared_samples(sim.channel(name), ref)
+                channel_nrmse[name] = _rms_error(sim_values, ref_values) / ranges[name]
+        return Residual(channel_nrmse=channel_nrmse, skipped=list(self.skipped))
 
 
 def evaluate_residual(
     params: QuarterCarParams,
     scenario: Scenario,
     geometry: VehicleGeometry,
-    reference: Mapping[str, TimeSeries] | VehicleResponse,
+    reference: Mapping[str, TimeSeries] | VehicleResponse | _Comparison,
     dt: float = 1e-3,
     rear_params: QuarterCarParams | None = None,
     plan: DrivePlan | None = None,
@@ -165,23 +239,9 @@ def evaluate_residual(
     whose reference has no range (a constant signal cannot normalize an
     error).  ``plan`` is passed on to :func:`~ridekit.vehicle.simulate`.
     """
-    if isinstance(reference, VehicleResponse):
-        reference = {name: reference.channel(name) for name in COMPARISON_CHANNELS}
+    comparison = reference if isinstance(reference, _Comparison) else _Comparison(reference)
     sim = simulate(scenario, params, geometry, dt=dt, rear_params=rear_params, plan=plan)
-    channel_nrmse: dict[str, float] = {}
-    skipped: list[tuple[str, str]] = []
-    for name in COMPARISON_CHANNELS:
-        ref_ch = reference.get(name)
-        if ref_ch is None:
-            skipped.append((name, "absent from reference"))
-            continue
-        if np.ptp(ref_ch.values) <= 0.0:
-            skipped.append((name, "reference has zero range"))
-            continue
-        channel_nrmse[name] = channel_error(sim.channel(name), ref_ch)
-    if not channel_nrmse:
-        raise InvalidInput("no overlapping channels between simulation and reference")
-    return Residual(channel_nrmse=channel_nrmse, skipped=skipped)
+    return comparison.residual(sim, plan)
 
 
 def simulation_residual(
@@ -196,8 +256,10 @@ def simulation_residual(
 
     Only ``mu_tire`` changes the drive plan, so the function holds one plan
     and rebuilds it when the friction of an evaluation differs from the
-    plan's.
+    plan's.  The work that depends on neither the corners nor the plan is
+    done once, and the plan's own channel errors once per plan.
     """
+    comparison = _Comparison(reference)
     plan: DrivePlan | None = None
 
     def residual(values: Mapping[str, float]) -> Residual:
@@ -207,7 +269,7 @@ def simulation_residual(
         if plan is None or plan.mu_eff != mu_eff:
             plan = None  # drop the old plan first, so at most one is held
             plan = drive_plan(scenario, geometry, mu_eff, dt)
-        return evaluate_residual(front, scenario, geometry, reference, dt=dt, rear_params=rear, plan=plan)
+        return evaluate_residual(front, scenario, geometry, comparison, dt=dt, rear_params=rear, plan=plan)
 
     return residual
 

@@ -148,17 +148,17 @@ def _parse_quarter_car(entry: dict | None, context: str) -> QuarterCarParams:
     return replace(default_car(), **{k: _number(v, f"{context}.{k}") for k, v in entry.items()})
 
 
-def check_smoothing_fits(smoothing: SmoothingParams, n_stations: int, n_offsets: int, n_profile: int) -> None:
+def check_smoothing_fits(smoothing: SmoothingParams, n_stations: int, n_offsets: int) -> None:
     """Raise :class:`ConfigError` for a smoothing penalty on an axis too short to smooth.
 
     ``lambda_x`` smooths along the road's stations, ``lambda_y`` across its
-    lateral offsets and ``lambda_z`` along an extracted profile of
-    ``n_profile`` samples; each needs at least ``road._MIN_SMOOTHING_NODES``.
+    lateral offsets and ``lambda_z`` along an extracted profile, which has
+    one sample per station; each needs at least ``road._MIN_SMOOTHING_NODES``.
     """
     axes = (
         ("lambda_x", smoothing.lambda_x, n_stations, "stations"),
         ("lambda_y", smoothing.lambda_y, n_offsets, "lateral offsets"),
-        ("lambda_z", smoothing.lambda_z, n_profile, "profile samples"),
+        ("lambda_z", smoothing.lambda_z, n_stations, "stations"),
     )
     for name, lam, nodes, axis in axes:
         if lam > 0 and nodes < _MIN_SMOOTHING_NODES:
@@ -249,10 +249,9 @@ def _load_config(path, seed: int | None, out_dir: str | None, methods: tuple[str
     lambdas = ("lambda_x", "lambda_y", "lambda_z")
     smoothing = SmoothingParams(**{lam: _number(smoothing_entry.get(lam, 0.0), f"road.smoothing.{lam}") for lam in lambdas})
     if road_synthetic is not None:
-        # the built grid closes the profile with its wrap sample, and its
-        # extracted profiles sample the stations one to one
+        # the built grid closes the profile with its wrap sample
         n_stations = int(round(length / step)) + 1
-        check_smoothing_fits(smoothing, n_stations, int(round(2 * lateral_span / offset_step)) + 1, n_stations)
+        check_smoothing_fits(smoothing, n_stations, int(round(2 * lateral_span / offset_step)) + 1)
 
     scenario = raw.get("scenario", {})
     _check_keys(scenario, {"target_speed_kmh", "profile", "lane_half_width", "distributions"}, "scenario")

@@ -5,29 +5,30 @@ The classical Runge-Kutta update for ``x' = A x + B u(t)`` with constant
 
     x[k+1] = Phi x[k] + G0 u[k] + Gm u[k+1/2] + G1 u[k+1]
 
-whose matrices are polynomials in ``dt A``.  In the Schur basis of ``A``
-(``A = Q T Q^H``, ``Q`` unitary, ``T`` upper triangular) ``Phi`` is upper
-triangular with the RK4 stability polynomial of ``z = dt * lambda`` on its
-diagonal, one entry per eigenmode.  Each mode's recursion
-``y[k+1] = p y[k] + d[k]`` is a unit lower-bidiagonal system, solved by one
-LAPACK banded triangular solve per mode, from the last mode up, instead of a
-Python loop.  Long calls run in chunks of ``_BLOCK_ROWS`` steps so that the
-work arrays stay in cache; each chunk's solve starts from the values the
-last one carried, and the states are bit-identical to one solve over the
-whole call.  One set of work arrays, sized to the longest chunk, serves every
-chunk of a call: each mode's drive is built in its row of the mode-major
-modal values, and the banded solve overwrites that row in place.  The basis
-is unitary, so the modal coordinates are no larger than the state and their
-rounding is not amplified, however close ``Phi`` is to the identity or the
-eigenvectors are to each other.  Both paths produce the same iterates (up to
-float rounding); the loop remains as the reference in the test suite.
+whose matrices are polynomials in ``dt A``.  In the real Schur basis of ``A``
+(``A = Q T Q^T``, ``Q`` orthogonal, ``T`` quasi-triangular: upper triangular
+but for one 2x2 block per complex pair of eigenvalues) ``Phi`` is
+quasi-triangular too.  With the modal values stored step by step
+(``z[k, j]`` at ``n*k + j``), the whole recursion ``z[k+1] = Phi z[k] + w[k]``
+is then one unit lower-triangular band with ``n + 1`` subdiagonals, solved by
+one LAPACK banded triangular solve (``dtbtrs``) instead of a Python loop, and
+the states are ``z @ Q^T``.  Calls run in chunks of ``_CHUNK_STEPS`` steps so
+that the work arrays stay in cache: each chunk writes its input products
+straight into the right-hand side of its solve, whose first block of
+unknowns is the modal state the last chunk carried.  That block's band
+columns only feed the next block, so the states are bit-identical to one
+solve over the whole call.  The basis is orthogonal, so the modal
+coordinates are no larger than the state and their rounding is not
+amplified, however close ``Phi`` is to the identity or the eigenvectors are
+to each other.  Both paths produce the same iterates (up to float rounding);
+the loop remains as the reference in the test suite.
 
-The parts that depend only on ``(A, B, dt)`` (Schur basis, ``Phi``, the input
-matrices, the back-transform) come from ``_discretised``, memoised within the
-process for the last 8 systems, keyed on the bytes and shapes of ``A`` and
-``B`` and on ``float(dt)``; its arrays are read-only.  The corners of a
-symmetric car, the runs of a batch and the repeated points of a calibration
-then discretise once.
+The parts that depend only on ``(A, B, dt)`` (the Schur basis, the input
+matrices and the band of the longest chunk) come from ``_discretised``,
+memoised within the process for the last 8 systems, keyed on the bytes and
+shapes of ``A`` and ``B`` and on ``float(dt)``; its arrays are read-only.
+The corners of a symmetric car, the runs of a batch and the repeated points
+of a calibration then discretise once.
 """
 
 from __future__ import annotations
@@ -68,6 +69,13 @@ def half_grid_input(samples: np.ndarray) -> np.ndarray:
 #: each row meets the same kernel code as in the whole product.
 _BLOCK_ROWS = 8192
 
+#: Steps per chunk of ``rk4_lti``; the last chunk of a call may be one step
+#: longer, since a chunk of one step would hand its input products to gemv.
+#: The memo holds one band per system, (n + 2) x n (_CHUNK_STEPS + 2) floats:
+#: 0.4 MB for a 4-state system.  At 8192 steps its 8 bands would come to
+#: 12.6 MB, more than 5 % of a calibration's 95 MB resident peak.
+_CHUNK_STEPS = 2048
+
 
 def _blocked_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``a @ b`` for a long 2-D ``a``, one block of ``_BLOCK_ROWS`` rows at a time.
@@ -84,11 +92,6 @@ def _blocked_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None)
         np.matmul(a[start:stop], b, out=out[start:stop])
         start = stop
     return out
-
-
-def _interleaved(a: np.ndarray) -> np.ndarray:
-    """Complex (r, c) array as the float (r, 2c) array of its real and imaginary parts."""
-    return np.ascontiguousarray(a).view(float)
 
 
 def rk4_lti_loop(A, B, u_half: np.ndarray, dt: float, x0) -> np.ndarray:
@@ -118,35 +121,36 @@ def _discretised(a_bytes: bytes, a_shape: tuple, b_bytes: bytes, b_shape: tuple,
     """The parts of ``rk4_lti`` that depend only on ``(A, B, dt)``, read-only.
 
     ``A`` and ``B`` arrive as their float64 bytes and shapes, so that the
-    cache compares them byte for byte.  Returns ``phi`` (the Schur-basis
-    propagator), the interleaved input matrices ``g0``, ``gm`` and ``g1``, the
-    back-transform ``back`` and ``Q^H``.
+    cache compares them byte for byte.  Returns the Schur-basis input
+    matrices ``g0``, ``gm`` and ``g1`` (each ``(m, n)``, to multiply input
+    rows), ``Q^T`` (C-ordered: ``Q^T x0`` gives the modal state and
+    ``z @ Q^T`` the states) and the band of the longest chunk's solve.
     """
     from scipy.linalg import schur
 
     A = np.frombuffer(a_bytes).reshape(a_shape)
     B = np.frombuffer(b_bytes).reshape(b_shape)
-    T, Q = schur(A, output="complex")
+    T, Q = schur(A)
     n = len(T)
     M = dt * T
     I = np.eye(n)
     with np.errstate(over="ignore", invalid="ignore"):
         # Phi, G0, Gm and G1 in the Schur basis, by Horner's rule in dt T.
         phi = I + M @ (I + M @ (I / 2 + M @ (I / 6 + M / 24)))
-        qb = Q.conj().T @ B
+        qb = Q.T @ B
         g0 = dt * (I / 6 + M @ (I / 6 + M @ (I / 12 + M / 24))) @ qb
         gm = dt * (2 * I / 3 + M @ (I / 3 + M / 12)) @ qb
         g1 = dt / 6 * qb
-    # The long complex products run as real ones on interleaved parts;
-    # Re(ys @ Q.T) = ys.view(float) @ back.
-    parts = (
-        phi,
-        _interleaved(g0.T),
-        _interleaved(gm.T),
-        _interleaved(g1.T),
-        _interleaved(Q.conj()).T,
-        Q.conj().T,
-    )
+    # Band storage of the unit lower-triangular recursion: column n*k + j
+    # holds -Phi[i, j] at row n - j + i, where z[k, j] drives z[k+1, i].
+    # Phi is zero below its subdiagonal, so n + 1 subdiagonals hold it; the
+    # rest is zero, and row 0, the unit diagonal, is not read.
+    block = np.zeros((n + 2, n))
+    for j in range(n):
+        rows = min(j + 2, n)
+        block[n - j : n - j + rows, j] = -phi[:rows, j]
+    band = np.asfortranarray(np.tile(block, _CHUNK_STEPS + 2))
+    parts = (g0.T.copy(), gm.T.copy(), g1.T.copy(), Q.T.copy(), band)
     for part in parts:
         part.flags.writeable = False
     return parts
@@ -183,70 +187,39 @@ def rk4_lti(A, B, u_half: np.ndarray, dt: float, x0) -> np.ndarray:
 
     from scipy.linalg import lapack
 
-    phi, g0, gm, g1, back, qh = _discretised(A.tobytes(), A.shape, B.tobytes(), B.shape, float(dt))
-    n = len(phi)
+    g0, gm, g1, qt, band = _discretised(A.tobytes(), A.shape, B.tobytes(), B.shape, float(dt))
+    n = len(qt)
     u0, um, u1 = u[0:-2:2], u[1:-1:2], u[2::2]
-    # The chunks are the product blocks.  A call under two blocks is one
-    # chunk: there a split-off tail costs more than the cache saves.
-    cuts = range(_BLOCK_ROWS, n_steps - 1, _BLOCK_ROWS) if n_steps >= 2 * _BLOCK_ROWS else ()
-    edges = [0, *cuts, n_steps]
-    longest = max(stop - start for start, stop in zip(edges, edges[1:]))
+    edges = [0, *range(_CHUNK_STEPS, n_steps - 1, _CHUNK_STEPS), n_steps]
+    longest = min(n_steps, _CHUNK_STEPS + 1)
     # Work arrays for the longest chunk, reused by every chunk: the modal
-    # inputs (interleaved), a product or row-major copy of the modal values,
-    # the modal values mode by mode with the carried value in column 0, one
-    # drive term and the band of the modal solve.
-    w = np.empty((longest, 2 * n))
-    rows_buf = np.empty((longest + 1, 2 * n))
-    ys = np.empty((n, longest + 1), dtype=complex)
-    term = np.empty(longest, dtype=complex)
-    band = np.empty((2, longest + 1), dtype=complex, order="F")
+    # values step by step, the carried ones first, which the solve writes
+    # over its right-hand side, and one input product.
+    z = np.empty((longest + 1, n))
+    product = np.empty((longest, n))
     # Allocated after the work arrays.  Allocated before them, the states sat
     # below them on the heap, so freeing them at return trimmed the heap's
     # top and the next call faulted it in again: calibrate's 8.45k-step calls
     # went from 0.4k to 170k minor faults a chain, 0.43 to 0.59 s.
     states = np.empty((n_steps + 1, n))
     with np.errstate(over="ignore", invalid="ignore"):
-        ys[:, 0] = qh @ x0
+        np.matmul(qt, x0, out=z[0])
         for start, stop in zip(edges, edges[1:]):
             steps = stop - start
-            wk = w[:steps]
-            _blocked_matmul(u0[start:stop], g0, out=wk)
-            wk += _blocked_matmul(um[start:stop], gm, out=rows_buf[:steps])
-            wk += _blocked_matmul(u1[start:stop], g1, out=rows_buf[:steps])
-            wk = wk.view(complex)  # (steps, n) modal inputs
-            # Band storage of the unit lower-bidiagonal matrix with -p below
-            # the diagonal; ztbtrs reads no diagonal under diag="U", so both
-            # rows hold -p and are filled as one contiguous block.  After the
-            # first chunk, the solve's first unknown is the carried value: the
-            # unit diagonal keeps it exact, and LAPACK then computes every
-            # later value as it would in one solve over the whole call.
-            carried = int(start > 0)
-            for i in reversed(range(n)):  # mode i is driven by the modes after it
-                p = phi[i, i]
-                # w_i + (0 + sum_j phi_ij y_j), summed in that order (the
-                # leading 0 keeps a sum of -0.0 terms at +0.0), built in the
-                # row of the mode's values
-                drive = ys[i, 1 : steps + 1]
-                drive[...] = 0
-                for j in range(i + 1, n):
-                    drive += np.multiply(phi[i, j], ys[j, :steps], out=term[:steps])
-                np.add(wk[:, i], drive, out=drive)
-                if not carried:
-                    drive[0] += p * ys[i, 0]
-                # overwrite_b: the solve writes the mode's values over its drive
-                size = steps + carried
-                band[:, :size] = -p
-                _, info = lapack.ztbtrs(
-                    band[:, :size], ys[i, 1 - carried : steps + 1, None], uplo="L", diag="U", overwrite_b=1
-                )
-                if info != 0:
-                    raise NumericFailure(f"modal recursion solve failed (LAPACK info {info})")
+            w = z[1 : steps + 1]
+            np.matmul(u0[start:stop], g0, out=w)
+            w += np.matmul(um[start:stop], gm, out=product[:steps])
+            w += np.matmul(u1[start:stop], g1, out=product[:steps])
+            size = n * (steps + 1)
+            # overwrite_b: the solve writes the modal values over their drive
+            _, info = lapack.dtbtrs(band[:, :size], z.reshape(-1, 1)[:size], uplo="L", diag="U", overwrite_b=1)
+            if info != 0:
+                raise NumericFailure(f"modal recursion solve failed (LAPACK info {info})")
             # Each chunk writes the states of its own steps, the last one also
             # the final state; the next chunk starts from the carried value.
             rows = steps + (stop == n_steps)
-            rows_buf[:rows].view(complex)[...] = ys[:, :rows].T
-            _blocked_matmul(rows_buf[:rows], back, out=states[start : start + rows])
-            ys[:, 0] = ys[:, steps]
+            np.matmul(z[:rows], qt, out=states[start : start + rows])
+            z[0] = z[steps]
     states[0] = x0
     if not max(states.max(), -states.min()) <= 1e9:  # NaN fails too
         raise NumericFailure("state integration diverged")

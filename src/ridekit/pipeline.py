@@ -89,8 +89,7 @@ def _preflight(cfg: PipelineConfig, grid: road.RoadGrid, analysis: bool):
     and, for ``analysis``, the one window partition every method reports on
     and the centre line's IRI segments (``None`` without the iri method).
     """
-    n_stations = len(grid.stations)
-    check_smoothing_fits(cfg.smoothing, n_stations, len(grid.lateral_offsets), n_stations)
+    check_smoothing_fits(cfg.smoothing, len(grid.stations), len(grid.lateral_offsets))
     scenario = _config_error(
         "scenario", Scenario, grid, cfg.target_speed, lane_half_width=cfg.lane_half_width, smoothing=cfg.smoothing
     )

@@ -192,10 +192,18 @@ def _corner_input(h_half: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray
     """RK4 input [h, h'] of one corner on the half grid, and its starting state.
 
     The corner starts in static equilibrium on the initial elevation, rolling
-    along the initial slope.
+    along the initial slope.  ``h'`` is ``np.gradient(h_half, dt / 2.0)``,
+    by numpy's own formulas, written in place: central differences inside,
+    one-sided ones at the ends.
     """
-    hdot = np.gradient(h_half, dt / 2.0)
-    u = np.column_stack([h_half, hdot])
+    step = dt / 2.0
+    u = np.empty((len(h_half), 2))
+    u[:, 0] = h_half
+    hdot = u[:, 1]
+    np.subtract(h_half[2:], h_half[:-2], out=hdot[1:-1])
+    hdot[1:-1] /= 2.0 * step
+    hdot[0] = (h_half[1] - h_half[0]) / step
+    hdot[-1] = (h_half[-1] - h_half[-2]) / step
     x0 = np.array([h_half[0], hdot[0], h_half[0], hdot[0]])
     return u, x0
 

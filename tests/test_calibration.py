@@ -200,6 +200,31 @@ class TestHeldPlan:
                 direct = evaluate_residual(front, scenario, geometry, reference, dt=1e-3, rear_params=rear)
                 assert np.array_equal(residual(values).vector, direct.vector), values
 
+    @pytest.mark.parametrize("step", [1, 2], ids=["reference_at_dt", "reference_at_2dt"])
+    def test_residual_equals_evaluate_residual_exactly(self, calib_setup, geometry, step):
+        # the function works out the skipped channels once and the reference
+        # ranges and plan channel errors once per plan; every residual must
+        # still equal a fresh evaluation, after a mu_tire change rebuilds the
+        # plan and after it changes back, on a reference sampled at dt (the
+        # shared samples) or at 2 dt (the simulation interpolated onto it)
+        scenario, base, _, response = calib_setup
+        reference = {name: response.channel(name) for name in ("vx", "ax", "ay", "az", "phi_rate", "psi_rate")}
+        reference = {name: TimeSeries(0.0, step * 1e-3, ch.values[::step]) for name, ch in reference.items()}
+        reference["phi_rate"] = TimeSeries(0.0, step * 1e-3, np.full(len(reference["az"]), 0.5))
+        residual = simulation_residual(scenario, geometry, reference, base, base, dt=1e-3)
+        points = (
+            {},
+            {"k_tire": 280000.0},
+            {"mu_tire": 0.9, "k_tire": 280000.0},
+            {"mu_tire": 0.9, "k_tire": 280000.0, "k_s_rear": 22000.0},
+            {"k_tire": 280000.0},
+        )
+        for values in points:
+            front, rear = apply_parameters(base, base, values)
+            direct = evaluate_residual(front, scenario, geometry, reference, dt=1e-3, rear_params=rear)
+            assert residual(values) == direct, values
+            assert [name for name, _ in direct.skipped] == ["phi_rate", "theta_rate"]
+
     def test_chain_runs_speed_loop_only_when_friction_changes(self, calib_setup, geometry, monkeypatch):
         scenario, base, _, reference = calib_setup
         frictions, loops = [], []

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,9 +9,9 @@ from ridekit.calibration import CALIBRATION_PARAMETERS, apply_parameters
 from ridekit.errors import NumericFailure
 from ridekit.integrators import (
     _BLOCK_ROWS,
+    _CHUNK_STEPS,
     _blocked_matmul,
     _discretised,
-    _interleaved,
     half_grid_input,
     rk4_lti,
     rk4_lti_loop,
@@ -26,40 +28,43 @@ def random_stable_system(rng, n=4, m=2):
 
 
 def rk4_lti_whole(A, B, u_half, dt, x0):
-    """The modal path as one solve per mode over the whole call, without its
-    error checks; the reference for ``rk4_lti``'s chunks."""
+    """The real-Schur path as one banded solve over the whole call, without
+    its error checks; the reference for ``rk4_lti``'s chunks."""
     from scipy.linalg import lapack, schur
 
     A, B, u, x0 = (np.asarray(v, dtype=float) for v in (A, B, u_half, x0))
     n_steps = (u.shape[0] - 1) // 2
-    T, Q = schur(A, output="complex")
+    T, Q = schur(A)
     n = len(T)
     M = dt * T
     I = np.eye(n)
     phi = I + M @ (I + M @ (I / 2 + M @ (I / 6 + M / 24)))
-    qb = Q.conj().T @ B
+    qb = Q.T @ B
     g0 = dt * (I / 6 + M @ (I / 6 + M @ (I / 12 + M / 24))) @ qb
     gm = dt * (2 * I / 3 + M @ (I / 3 + M / 12)) @ qb
     g1 = dt / 6 * qb
-    w = (
-        _blocked_matmul(u[0:-2:2], _interleaved(g0.T))
-        + _blocked_matmul(u[1:-1:2], _interleaved(gm.T))
-        + _blocked_matmul(u[2::2], _interleaved(g1.T))
-    )
-    w = w.view(complex)
-    ys = np.empty((n_steps + 1, n), dtype=complex)
-    ys[0] = Q.conj().T @ x0
-    band = np.ones((2, n_steps), dtype=complex, order="F")
-    for i in reversed(range(n)):
-        p = phi[i, i]
-        drive = w[:, i] + sum(phi[i, j] * ys[:-1, j] for j in range(i + 1, n))
-        drive[0] += p * ys[0, i]
-        band[1] = -p
-        y, _ = lapack.ztbtrs(band, drive[:, None], uplo="L", diag="U", overwrite_b=1)
-        ys[1:, i] = y[:, 0]
-    states = _blocked_matmul(ys.view(float), _interleaved(Q.conj()).T)
+    qt = np.ascontiguousarray(Q.T)
+    z = np.empty((n_steps + 1, n))
+    z[0] = qt @ x0
+    z[1:] = _blocked_matmul(u[0:-2:2], np.ascontiguousarray(g0.T))
+    z[1:] += _blocked_matmul(u[1:-1:2], np.ascontiguousarray(gm.T))
+    z[1:] += _blocked_matmul(u[2::2], np.ascontiguousarray(g1.T))
+    # z[k + 1, i] - sum_j phi[i, j] z[k, j] = w[k, i], at z[k, j]'s column
+    band = np.zeros((n + 2, n * (n_steps + 1)), order="F")
+    for i in range(n):
+        for j in range(max(i - 1, 0), n):
+            band[n - j + i, j::n] = -phi[i, j]
+    y, _ = lapack.dtbtrs(band, z.reshape(-1, 1), uplo="L", diag="U")
+    states = _blocked_matmul(y.reshape(-1, n), qt)
     states[0] = x0
     return states
+
+
+def schur_blocks(a):
+    """The number of 2x2 blocks (complex eigenvalue pairs) in ``a``'s real Schur form."""
+    from scipy.linalg import schur
+
+    return int(np.count_nonzero(np.diag(schur(a)[0], -1)))
 
 
 class TestHalfGrid:
@@ -117,7 +122,7 @@ class TestRk4Lti:
             rk4_lti(a, b, u, 0.01, np.array([1.0]))
 
     def test_failed_modal_solve_raises(self, monkeypatch):
-        monkeypatch.setattr("scipy.linalg.lapack.ztbtrs", lambda ab, b, **kwargs: (b, -2))
+        monkeypatch.setattr("scipy.linalg.lapack.dtbtrs", lambda ab, b, **kwargs: (b, -2))
         a, b = random_stable_system(np.random.default_rng(2))
         with pytest.raises(NumericFailure, match="LAPACK info -2"):
             rk4_lti(a, b, np.zeros((2 * 10 + 1, 2)), 0.01, np.zeros(4))
@@ -130,23 +135,24 @@ class TestRk4Lti:
 
 
 B = _BLOCK_ROWS
+C = _CHUNK_STEPS
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     rows=st.sampled_from([0, 1, 2, B - 1, B, B + 1, B + 2, 3 * B + 5]),
-    shape=st.sampled_from(["(r,2)@(2,8)", "(r,8)@(8,4)", "(r,4)@(4,)"]),
+    shape=st.sampled_from(["(r,2)@(2,8)", "(r,8)@(8,8)", "(r,4)@(4,)"]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_blocked_product_is_bit_identical_to_matmul(rows, shape, seed):
     """The row-blocked product equals ``@`` bit for bit, block edges included,
-    for the input products and back-transform of ``rk4_lti`` (the latter on
-    a transposed view, as there) and the ``a_z`` product of a corner."""
+    for the input products (on every other row, as there) and back-transform
+    of the whole-call reference above and the ``a_z`` product of a corner."""
     rng = np.random.default_rng(seed)
     if shape == "(r,2)@(2,8)":
         a, b = rng.normal(size=(2 * rows + 1, 2))[0:-2:2], rng.normal(size=(2, 8))
-    elif shape == "(r,8)@(8,4)":
-        a, b = rng.normal(size=(rows, 8)), rng.normal(size=(4, 8)).T
+    elif shape == "(r,8)@(8,8)":
+        a, b = rng.normal(size=(rows, 8)), rng.normal(size=(8, 8))
     else:
         a, b = rng.normal(size=(rows, 4)), rng.normal(size=4)
     assert np.array_equal(_blocked_matmul(a, b), a @ b)
@@ -192,20 +198,66 @@ def test_modal_path_matches_literal_loop_on_corners(values, rear, dt, n_steps, s
         assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
 
 
+def real_eigenvalue_system():
+    """A 4-state system with distinct real eigenvalues in a random orthogonal basis."""
+    rng = np.random.default_rng(21)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    t = np.triu(rng.normal(0.0, 50.0, (4, 4)), 1) - np.diag([180.0, 60.0, 12.0, 2.5])
+    return q @ t @ q.T, rng.normal(size=(4, 2))
+
+
+def sensitivity_system():
+    """The default corner augmented with its scaled sensitivity to ``k_s``,
+    ``[x; k_s dx/dk_s]``: 8 states, each eigenvalue twice."""
+    car = default_car()
+    a, b = corner_system(car)
+    a_up, b_up = corner_system(replace(car, k_s=2 * car.k_s))  # A and B are linear in k_s
+    zero = np.zeros((4, 4))
+    return np.block([[a, zero], [a_up - a, a]]), np.vstack([b, b_up - b])
+
+
+@pytest.mark.parametrize("dt", [1e-3, 2.5e-4, 8.2e-5])
+@pytest.mark.parametrize(
+    "system, blocks",
+    [
+        (lambda: corner_system(GOLDEN_CAR), 2),
+        (lambda: corner_system(default_car()), 1),
+        (real_eigenvalue_system, 0),
+        (sensitivity_system, None),
+    ],
+    ids=["two_2x2_blocks", "one_2x2_block", "real_eigenvalues", "eight_states"],
+)
+def test_real_schur_forms_match_literal_loop(system, blocks, dt):
+    """The real-Schur path is within 1e-12 of the loop's peak whether the
+    quasi-triangular form has two, one or no 2x2 blocks, and on an 8-state
+    sensitivity system, over two chunks and a half."""
+    a, b = system()
+    if blocks is not None:
+        assert schur_blocks(a) == blocks
+    n_steps = 2 * C + C // 2
+    rng = np.random.default_rng(7)
+    u = rng.normal(0.0, 0.01, (2 * n_steps + 1, b.shape[1]))
+    x0 = rng.normal(0.0, 0.01, a.shape[0])
+    fast = rk4_lti(a, b, u, dt, x0)
+    slow = rk4_lti_loop(a, b, u, dt, x0)
+    assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
+
+
 @settings(max_examples=30, deadline=None)
 @given(
-    n_steps=st.sampled_from([1, 1000, B, 2 * B - 1, 2 * B, 2 * B + 1, 3 * B, 3 * B + 1]),
+    n_steps=st.sampled_from([1, 2, 1000, C, C + 1, C + 2, 2 * C - 1, 2 * C, 2 * C + 1, 3 * C, 3 * C + 1, 5 * C + 7]),
     car=st.one_of(st.none(), calibration_values),
     rear=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_chunked_path_is_bit_identical_to_one_solve(n_steps, car, rear, seed):
-    """Chunks of ``_BLOCK_ROWS`` steps give the states of one solve over the
-    whole call bit for bit: on one, two and three chunks, around the two-block
-    edge, and on a random stable system or a drawn corner."""
+    """Chunks of ``_CHUNK_STEPS`` steps give the states of one solve over the
+    whole call bit for bit: on one, two, three and six chunks, at the chunk
+    edges (a last chunk one step longer among them), and on a random stable
+    system of 1 to 8 states or a drawn corner."""
     rng = np.random.default_rng(seed)
     if car is None:
-        a, b = random_stable_system(rng, n=int(rng.integers(1, 7)), m=int(rng.integers(1, 4)))
+        a, b = random_stable_system(rng, n=int(rng.integers(1, 9)), m=int(rng.integers(1, 4)))
         dt = 0.01
     else:
         front_params, rear_params = apply_parameters(default_car(), default_car(), car)
@@ -220,7 +272,7 @@ def test_chunked_path_is_bit_identical_to_one_solve(n_steps, car, rear, seed):
 @pytest.mark.parametrize("n_steps", [5, 2 * B + 1])
 def test_zero_input_is_bit_identical_to_one_solve(n_steps, zero):
     """A state and input of signed zeros give the one solve's bytes, zero
-    signs included, on one chunk and on three."""
+    signs included, on one chunk and on eight, the last one step longer."""
     golden_a, golden_b = corner_system(GOLDEN_CAR)
     for a, b, dt in [(*corner_system(default_car()), 1e-3), (golden_a, golden_b[:, :1], 2.5e-4)]:
         u = np.full((2 * n_steps + 1, b.shape[1]), zero)
@@ -264,7 +316,11 @@ class TestDiscretisationMemo:
 
     def test_cached_arrays_are_read_only(self):
         a, b = corner_system(default_car())
-        for part in _discretised(a.tobytes(), a.shape, b.tobytes(), b.shape, 1e-3):
+        parts = _discretised(a.tobytes(), a.shape, b.tobytes(), b.shape, 1e-3)
+        band = parts[-1]
+        # the band of the longest chunk: C + 1 steps after the carried state
+        assert band.shape == (4 + 2, 4 * (C + 2)) and band.flags.f_contiguous
+        for part in parts:
             with pytest.raises(ValueError):
                 part.flat[0] = 1.0
 
@@ -274,26 +330,26 @@ class TestErrorsPastTheFirstChunk:
     def test_failed_solve_in_a_later_chunk_raises(self, monkeypatch, chunk):
         from scipy.linalg import lapack
 
-        ztbtrs, calls = lapack.ztbtrs, []
+        dtbtrs, calls = lapack.dtbtrs, []
 
         def failing_in_chunk(ab, b, **kwargs):
             calls.append(len(b))
-            y, info = ztbtrs(ab, b, **kwargs)
-            return (y, 7) if len(calls) == 4 * (chunk - 1) + 2 else (y, info)  # 4 modes a chunk
+            y, info = dtbtrs(ab, b, **kwargs)
+            return (y, 7) if len(calls) == chunk else (y, info)  # one solve a chunk
 
-        monkeypatch.setattr(lapack, "ztbtrs", failing_in_chunk)
+        monkeypatch.setattr(lapack, "dtbtrs", failing_in_chunk)
         a, b = random_stable_system(np.random.default_rng(3))
-        u = np.zeros((2 * 3 * B + 1, 2))
+        u = np.zeros((2 * 3 * C + 1, 2))
         with pytest.raises(NumericFailure, match="LAPACK info 7"):
             rk4_lti(a, b, u, 0.01, np.ones(4))
-        # the failing call solved a later chunk: its first unknown is the carried value
-        assert calls[-1] == B + 1
+        # the failing call solved a later chunk: its first unknowns are the carried state
+        assert calls == [4 * (C + 1)] * chunk
 
     def test_divergence_in_the_last_chunk_raises(self):
         a, b = np.array([[-1.0]]), np.array([[1.0]])
-        u = np.zeros((2 * 3 * B + 1, 1))
-        u[2 * (2 * B + 100) :] = 1e12  # the state passes 1e9 only in the third chunk
-        ok = rk4_lti(a, b, u[: 2 * 2 * B + 1], 0.01, np.zeros(1))
+        u = np.zeros((2 * 3 * C + 1, 1))
+        u[2 * (2 * C + 100) :] = 1e12  # the state passes 1e9 only in the third chunk
+        ok = rk4_lti(a, b, u[: 2 * 2 * C + 1], 0.01, np.zeros(1))
         assert np.max(np.abs(ok)) == 0.0
         with pytest.raises(NumericFailure, match="state integration diverged"):
             rk4_lti(a, b, u, 0.01, np.zeros(1))

@@ -99,9 +99,10 @@ class TestConfig:
         assert cfg.bands[("z", "PT")].upper == 0.05
         assert load_config(write_config(tmp_path / "c.yaml", analysis=analysis), methods=("iso",)).bands is None
 
-    @pytest.mark.parametrize("axis, penalty", enumerate(["lambda_x", "lambda_y", "lambda_z"]))
+    @pytest.mark.parametrize("axis, penalty", [(0, "lambda_x"), (1, "lambda_y"), (0, "lambda_z")])
     def test_smoothing_needs_five_nodes_on_its_own_axis(self, axis, penalty):
-        counts = [4, 4, 4]
+        # lambda_z smooths a profile, which has one sample per station
+        counts = [4, 4]
         counts[axis] = 5
         check_smoothing_fits(SmoothingParams(**{penalty: 1e-3}), *counts)
         counts[axis] = 4
@@ -116,7 +117,7 @@ class TestConfig:
              None, lambda: road.straight_grid(np.zeros(2001), 0.1, lateral_span=0.75, offset_step=0.5)),
             ("lambda_x", "stations", {"length": 0.3, "step": 0.1}, SHORT_SYNTHETIC,
              lambda: road.straight_grid(np.zeros(4), 0.1)),
-            ("lambda_z", "profile samples", {"length": 0.3, "step": 0.1}, SHORT_SYNTHETIC,
+            ("lambda_z", "stations", {"length": 0.3, "step": 0.1}, SHORT_SYNTHETIC,
              lambda: road.straight_grid(np.zeros(4), 0.1)),
         ],
         ids=["lambda_y_four_offsets", "lambda_x_four_stations", "lambda_z_four_samples"],

@@ -11,6 +11,7 @@ from ridekit.integrators import half_grid_input, rk4_lti
 from ridekit.road import ReferenceLine, RoadGrid, SmoothingParams, straight_grid, synth_profile, wheel_track_profile
 from ridekit.vehicle import (
     GRAVITY,
+    MAX_DT,
     QuarterCarParams,
     Scenario,
     SpeedProfile,
@@ -256,6 +257,20 @@ class TestDrivePlan:
             for name in self.CHANNELS:
                 assert np.array_equal(fresh.channel(name).values, reused.channel(name).values), name
             assert fresh.warnings == reused.warnings
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        samples=st.integers(2, 300),
+        scale=st.sampled_from([1e-4, 1.0, 1e3]),
+        dt=st.floats(1e-5, MAX_DT),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_corner_input_equals_gradient_and_column_stack(self, samples, scale, dt, seed):
+        h = np.random.default_rng(seed).normal(0.0, scale, samples)
+        u, x0 = vehicle._corner_input(h, dt)
+        hdot = np.gradient(h, dt / 2.0)
+        assert u.tobytes() == np.column_stack([h, hdot]).tobytes()
+        assert x0.tobytes() == np.array([h[0], hdot[0], h[0], hdot[0]]).tobytes()
 
     def test_plan_of_other_inputs_rejected(self, car, geometry, class_c_grid):
         scenario = Scenario(road=class_c_grid, target_speed=20.0)
