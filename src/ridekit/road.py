@@ -265,20 +265,18 @@ def load_grid(path) -> RoadGrid:
 
 
 def _clean_grid(elevations: np.ndarray, ref_elevation: np.ndarray) -> tuple[np.ndarray, int]:
-    from scipy.ndimage import median_filter, uniform_filter
-
-    # Rows are levelled by their robust crossfall before the median: "nearest"
+    # Rows are levelled by their robust crossfall before the median: edge
     # padding counts an edge cell twice in its neighbours' windows, so on a
     # tilted row an edge outlier would drag their medians to the next column.
     crossfall = np.median(np.diff(elevations, axis=1), axis=1)
     tilt = crossfall[:, None] * np.arange(elevations.shape[1])
-    med = median_filter(elevations - tilt, size=3, mode="nearest") + tilt
+    med = _local_median(elevations - tilt) + tilt
     resid = elevations - med
     # Scale estimated from the local-mean deviation field, which is not
     # zero-censored the way median residuals are (on laterally uniform grids
     # more than half of them vanish exactly, deflating a naive std and turning
     # ordinary roughness extrema into false outliers).
-    sigma = float(np.std(elevations - uniform_filter(elevations, size=3, mode="nearest")))
+    sigma = float(np.std(elevations - _local_mean(elevations)))
     mask = (np.abs(resid) > 5.0 * sigma) & (np.abs(resid) > 1e-6)
     mask |= np.abs(elevations - ref_elevation[:, None]) > _ELEVATION_BOUND
     if not mask.any():
@@ -286,6 +284,25 @@ def _clean_grid(elevations: np.ndarray, ref_elevation: np.ndarray) -> tuple[np.n
     cleaned = elevations.copy()
     cleaned[mask] = med[mask]
     return cleaned, int(mask.sum())
+
+
+def _local_median(z: np.ndarray) -> np.ndarray:
+    """Median of each cell's 3x3 neighbourhood, the edges padded with their nearest cells.
+
+    The median is one of the nine values, so the selection is exact.
+    """
+    rows, cols = z.shape
+    padded = np.pad(z, 1, mode="edge")
+    near = np.stack([padded[i : i + rows, j : j + cols] for i in range(3) for j in range(3)], axis=-1)
+    near.partition(4, axis=-1)
+    return near[..., 4]
+
+
+def _local_mean(z: np.ndarray) -> np.ndarray:
+    """Mean of each cell's 3x3 neighbourhood, the edges padded with their nearest cells."""
+    padded = np.pad(z, 1, mode="edge")
+    down = (padded[:-2] + padded[1:-1] + padded[2:]) / 3.0
+    return (down[:, :-2] + down[:, 1:-1] + down[:, 2:]) / 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -300,19 +317,61 @@ def _check_range(values, lo, hi, what: str) -> None:
         raise DomainBoundsError(f"{what} query outside [{lo}, {hi}]")
 
 
+def _interval_coefficients(offsets: np.ndarray) -> np.ndarray:
+    """The interpolating spline through values at ``offsets``, as a linear map.
+
+    Returns ``c`` of shape ``(n - 1, 4, n)``: on the interval from
+    ``offsets[i]``, the spline through node values ``y`` is
+    ``sum(c[i, k] @ y * t**k)`` with ``t`` the distance from ``offsets[i]``.
+    The spline is the one ``make_interp_spline`` builds with
+    ``k=min(3, n - 1)``: cubic with not-a-knot ends on four or more offsets,
+    else the one polynomial of degree ``n - 1`` through the nodes.  The node
+    slopes come from one solve; each interval is then the cubic with its
+    ends' values and slopes.
+    """
+    n = len(offsets)
+    h = np.diff(offsets)
+    nodes = np.eye(n)
+    secants = (nodes[1:] - nodes[:-1]) / h[:, None]
+    lhs = np.zeros((n, n))  # slopes -> equations
+    rhs = np.zeros((n, n - 1))  # secants -> equations
+    for i in range(1, n - 1):
+        lhs[i, i - 1 : i + 2] = h[i], 2.0 * (h[i - 1] + h[i]), h[i - 1]
+        rhs[i, i - 1 : i + 1] = 3.0 * h[i], 3.0 * h[i - 1]
+    if n >= 4:  # not-a-knot: a third derivative continuous at the second and the last but one node
+        d = h[0] + h[1]
+        lhs[0, :2] = h[1], d
+        rhs[0, :2] = (h[0] + 2.0 * d) * h[1] / d, h[0] ** 2 / d
+        d = h[-2] + h[-1]
+        lhs[-1, -2:] = d, h[-2]
+        rhs[-1, -2:] = h[-1] ** 2 / d, (2.0 * d + h[-1]) * h[-2] / d
+    elif n == 3:  # a parabola: no cubic term on either interval
+        lhs[0, :2] = lhs[-1, -2:] = 1.0
+        rhs[0, 0] = rhs[-1, -1] = 2.0
+    else:  # a line
+        lhs[0, 0] = lhs[1, 1] = 1.0
+        rhs[:, 0] = 1.0
+    slopes = np.linalg.solve(lhs, rhs @ secants)
+    quadratic = (3.0 * secants - 2.0 * slopes[:-1] - slopes[1:]) / h[:, None]
+    cubic = (slopes[:-1] + slopes[1:] - 2.0 * secants) / (h * h)[:, None]
+    return np.stack([nodes[:-1], slopes[:-1], quadratic, cubic], axis=1)
+
+
 class SurfaceInterpolator:
     """The (smoothed) elevation rows of one grid, read across at any lateral offset.
 
     Build once and read many tracks; the smoothing runs at construction.
     Every query falls on the grid's stations, so a track is each row's
     interpolating spline across the offsets (cubic, lower on fewer than four
-    offsets) at one offset.  With all penalties zero a track at an offset
-    node is that column of the grid.
+    offsets) at one offset: the rows times one weight vector
+    (:meth:`weights`).  The spline's coefficient map is solved once per
+    surface, on the first track that needs it.  With ``lambda_y == 0`` on a
+    laterally uniform grid every track is the first offset column itself,
+    bit for bit, and no weights are computed.  With all penalties zero a
+    track at an offset node is that column of the grid.
     """
 
     def __init__(self, grid: RoadGrid, params: SmoothingParams | None = None):
-        from scipy.interpolate import make_smoothing_spline
-
         self.params = params or SmoothingParams()
         z = grid.elevations
         stations = grid.stations
@@ -320,19 +379,35 @@ class SurfaceInterpolator:
         # make a reference cycle that only the cyclic collector frees.
         self.lateral_offsets = offsets = grid.lateral_offsets
         if self.params.lambda_x > 0 and len(stations) >= _MIN_SMOOTHING_NODES:
+            from scipy.interpolate import make_smoothing_spline
+
             z = make_smoothing_spline(stations, z, lam=self.params.lambda_x, axis=0)(stations)
         if self.params.lambda_y > 0 and len(offsets) >= _MIN_SMOOTHING_NODES:
+            from scipy.interpolate import make_smoothing_spline
+
             z = make_smoothing_spline(offsets, z, lam=self.params.lambda_y, axis=1)(offsets)
         self.elevations = z
+        self._uniform = self.params.lambda_y == 0 and grid.laterally_uniform
+
+    @cached_property
+    def _coefficients(self) -> np.ndarray:
+        return _interval_coefficients(self.lateral_offsets)
+
+    def weights(self, v: float) -> np.ndarray:
+        """The weight of each offset column in the track at lateral offset ``v``."""
+        offsets = self.lateral_offsets
+        i = min(max(int(np.searchsorted(offsets, v, side="right")) - 1, 0), len(offsets) - 2)
+        t = float(v) - offsets[i]
+        c = self._coefficients[i]
+        return c[0] + t * (c[1] + t * (c[2] + t * c[3]))
 
     def track(self, v: float) -> np.ndarray:
         """Elevations at every station along one lateral offset ``v``."""
-        from scipy.interpolate import make_interp_spline
-
         offsets = self.lateral_offsets
         _check_range(v, offsets[0], offsets[-1], "lateral offset")
-        weights = make_interp_spline(offsets, np.eye(len(offsets)), k=min(3, len(offsets) - 1))(float(v))
-        return self.elevations @ weights
+        if self._uniform:
+            return self.elevations[:, 0].copy()
+        return self.elevations @ self.weights(v)
 
 
 def wheel_track_profile(grid: RoadGrid, lateral_offset: float, params: SmoothingParams | None = None) -> np.ndarray:

@@ -392,19 +392,20 @@ class DrivePlan:
     ``(params, states, a_z)`` in :attr:`corner_runs`.  :func:`corner_dynamics`
     reuses that run when the wheel's parameters equal the stored ones, so a
     held plan integrates a wheel again only when its parameters change.
-    The speed, lateral and position channels are read-only: every run over
-    the plan returns them.
+    The speed, lateral and position channels are read-only
+    :class:`~ridekit.signals.TimeSeries`, checked once: every run over the
+    plan returns these same objects.
     """
 
     scenario: Scenario
     geometry: VehicleGeometry
     dt: float
     mu_eff: float
-    v_x: np.ndarray
-    a_x: np.ndarray
-    a_y: np.ndarray
-    psi_rate: np.ndarray
-    s: np.ndarray
+    v_x: TimeSeries
+    a_x: TimeSeries
+    a_y: TimeSeries
+    psi_rate: TimeSeries
+    s: TimeSeries
     warnings: tuple[str, ...]
     wheels: tuple[tuple[np.ndarray, np.ndarray], ...]
     corner_runs: list = field(default_factory=lambda: [None] * 4, init=False, repr=False)
@@ -467,18 +468,20 @@ def drive_plan(scenario: Scenario, geometry: VehicleGeometry, mu_eff: float, dt:
     else:
         fr, rr = wheel(right, s_half), wheel(right, s_rear_half)
 
-    for channel in (v_arr, ax_arr, a_y, psi_rate, s_arr):
-        channel.setflags(write=False)
+    def series(values: np.ndarray) -> TimeSeries:
+        values.setflags(write=False)
+        return TimeSeries(0.0, dt, values)
+
     return DrivePlan(
         scenario=scenario,
         geometry=geometry,
         dt=dt,
         mu_eff=mu_eff,
-        v_x=v_arr,
-        a_x=ax_arr,
-        a_y=a_y,
-        psi_rate=psi_rate,
-        s=s_arr,
+        v_x=series(v_arr),
+        a_x=series(ax_arr),
+        a_y=series(a_y),
+        psi_rate=series(psi_rate),
+        s=series(s_arr),
         warnings=warnings,
         wheels=(fl, fr, rl, rr),
     )
@@ -496,7 +499,7 @@ def corner_dynamics(
     responses combine into heave acceleration and roll and pitch rates by
     rigid-body kinematics.  A wheel whose parameters equal its last run on
     this plan reuses that run (:class:`DrivePlan`, memo rule).  No array of a
-    kept run is returned, and the plan's own channels are read-only.
+    kept run is returned; the plan's own channels are returned as they are.
     """
     rear = rear_params if rear_params is not None else params
     geometry = plan.geometry
@@ -534,14 +537,14 @@ def corner_dynamics(
         return TimeSeries(0.0, plan.dt, values)
 
     return VehicleResponse(
-        v_x=series(plan.v_x),
-        a_x=series(plan.a_x),
-        a_y=series(plan.a_y),
+        v_x=plan.v_x,
+        a_x=plan.a_x,
+        a_y=plan.a_y,
         a_z=series(a_z),
         phi_rate=series(phi_rate),
         theta_rate=series(theta_rate),
-        psi_rate=series(plan.psi_rate),
-        s=series(plan.s),
+        psi_rate=plan.psi_rate,
+        s=plan.s,
         warnings=plan.warnings,
     )
 

@@ -885,9 +885,8 @@ print(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "yaml")))
             ("thresholds", (), ("scipy",)),
             ("generate-road", (), ("scipy",)),
             ("iri", ("scipy.linalg",), ("scipy.interpolate", "scipy.ndimage", "scipy.special", "scipy.signal")),
-            # scipy.interpolate itself imports scipy.special, so only the
-            # surface's own modules are required here
-            ("calibrate", ("scipy.linalg", "scipy.interpolate"), ("scipy.signal",)),
+            # an unsmoothed grid file: cleaned and read across on numpy alone
+            ("calibrate", ("scipy.linalg",), ("scipy.interpolate", "scipy.ndimage", "scipy.special", "scipy.signal")),
         ],
         ids=["version", "thresholds", "generate-road", "iri", "calibrate"],
     )
@@ -923,6 +922,33 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "sci
             assert name in modules
         for name in not_loaded:
             assert not [m for m in modules if m == name or m.startswith(name + ".")]
+
+    def test_grid_file_and_unsmoothed_tracks_load_no_scipy(self, tmp_path):
+        from conftest import bump_event_road
+        from ridekit.road import save_grid
+
+        save_grid(tmp_path / "road.txt", bump_event_road(length=100.0))
+        script = """
+import sys
+from ridekit import road
+grid = road.load_grid(sys.argv[1])
+assert not grid.laterally_uniform
+road.wheel_track_profile(grid, 0.3)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+        assert run_fresh(script, tmp_path / "road.txt") == "[]"
+
+    def test_smoothed_surface_loads_scipy_interpolate(self):
+        script = """
+import sys
+from ridekit import road
+grid = road.straight_grid(road.synth_profile(20.0, 0.1, "C", seed=1), 0.1)
+grid.surface()
+before = "scipy.interpolate" in sys.modules
+grid.surface(road.SmoothingParams(lambda_x=1e-3))
+print([before, "scipy.interpolate" in sys.modules])
+"""
+        assert run_fresh(script) == "[False, True]"
 
     def test_commands_without_iso_filters_never_import_scipy_signal(self, reference_file, class_c_run, tmp_path):
         config, ref_path, _ = reference_file

@@ -3,9 +3,11 @@ import weakref
 
 import numpy as np
 import pytest
-from scipy.interpolate import RectBivariateSpline, make_smoothing_spline
+from scipy.interpolate import RectBivariateSpline, make_interp_spline, make_smoothing_spline
+from scipy.ndimage import median_filter, uniform_filter
 from scipy.signal import welch
 
+from ridekit import road
 from ridekit.errors import DomainBoundsError, GridParseError, InvalidInput
 from ridekit.road import (
     ROUGHNESS_PSD_SCALE,
@@ -20,6 +22,7 @@ from ridekit.road import (
     synth_profile,
     wheel_track_profile,
 )
+from ridekit.vehicle import Scenario, default_car, default_geometry, simulate
 
 from conftest import curved_crossfall_grid
 
@@ -78,6 +81,42 @@ class TestLoadGrid:
         changed = sorted(zip(*np.nonzero(grid.elevations != raw)))
         assert grid.outliers_replaced == len(planted)
         assert changed == sorted(planted)
+
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 2), (3, 5), (40, 7), (401, 11)])
+    def test_local_median_and_mean_equal_the_scipy_filters(self, shape):
+        z = 1.5 + 0.01 * np.random.default_rng(shape[0]).standard_normal(shape)
+        z[::3, 1] = z[::3, 0]  # ties
+        assert np.array_equal(road._local_median(z), median_filter(z, size=3, mode="nearest"))
+        # uniform_filter keeps a running sum along each line, so it drifts from
+        # the shifted sums at the rounding level of the values
+        assert np.max(np.abs(road._local_mean(z) - uniform_filter(z, size=3, mode="nearest"))) <= 1e-14
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cleaning_replaces_the_cells_of_the_scipy_filters(self, seed):
+        # planted outliers of both signs, in the interior and the edge
+        # columns, on a crossfall; the reference is the cleaning step on
+        # scipy.ndimage's filters
+        rng = np.random.default_rng(seed)
+        n, offsets = 600, np.linspace(-2.5, 2.5, 5 + seed)
+        ref_elevation = 0.01 * np.arange(n)
+        z = ref_elevation[:, None] - 0.025 * offsets + np.cumsum(rng.normal(0.0, 5e-4, (n, len(offsets))), axis=0)
+        z += 3e-4 * rng.standard_normal(z.shape)
+        cells = rng.choice(z.size, size=15, replace=False)
+        z.flat[cells] += rng.choice([-1.0, 1.0], 15) * rng.uniform(0.02, 0.2, 15)
+
+        crossfall = np.median(np.diff(z, axis=1), axis=1)
+        tilt = crossfall[:, None] * np.arange(z.shape[1])
+        med = median_filter(z - tilt, size=3, mode="nearest") + tilt
+        sigma = float(np.std(z - uniform_filter(z, size=3, mode="nearest")))
+        resid = z - med
+        mask = (np.abs(resid) > 5.0 * sigma) & (np.abs(resid) > 1e-6)
+        mask |= np.abs(z - ref_elevation[:, None]) > 10.0
+        expected = z.copy()
+        expected[mask] = med[mask]
+
+        cleaned, replaced = road._clean_grid(z, ref_elevation)
+        assert replaced == int(mask.sum()) > 0
+        assert np.array_equal(cleaned, expected)
 
     def test_round_trip_random_grid(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -209,6 +248,25 @@ class TestElevationAt:
             got = SurfaceInterpolator(grid, SmoothingParams()).track(v)
             assert np.max(np.abs(got - (0.01 * stations + 0.02 * v))) < 1e-12
 
+    def test_weights_solved_once_per_surface_and_never_on_equal_columns(self, monkeypatch):
+        solves = []
+        solve = road._interval_coefficients
+
+        def counting_solve(offsets):
+            solves.append(1)
+            return solve(offsets)
+
+        monkeypatch.setattr(road, "_interval_coefficients", counting_solve)
+        uneven = curved_crossfall_grid()
+        for params in (SmoothingParams(), SmoothingParams(lambda_x=1e-3)):
+            for offset in (-2.0, 0.3, 1.1):
+                wheel_track_profile(uneven, offset, params)
+        assert len(solves) == 2
+        uniform = straight_grid(synth_profile(50.0, 0.1, "C", seed=4), 0.1)
+        for offset in (-2.0, 0.3, 1.1):
+            wheel_track_profile(uniform, offset, SmoothingParams(lambda_x=1e-3))
+        assert len(solves) == 2
+
     def test_out_of_hull(self):
         grid = _bumpy_grid(np.random.default_rng(0))
         interp = SurfaceInterpolator(grid)
@@ -303,6 +361,32 @@ class TestWheelTrack:
         smooth = wheel_track_profile(grid, 0.0, SmoothingParams(lambda_z=1.0))
         assert np.std(np.diff(smooth)) < np.std(np.diff(raw))
 
+    @pytest.mark.parametrize(
+        "params",
+        [SmoothingParams(), SmoothingParams(lambda_x=1e-3), SmoothingParams(lambda_x=1e-3, lambda_z=1e-3)],
+        ids=["raw", "lambda_x", "lambda_x_z"],
+    )
+    def test_equal_columns_give_the_column_bit_for_bit(self, params):
+        # a laterally uniform grid with lambda_y == 0: every track is the
+        # (smoothed) first column itself, whatever the offset
+        grid = straight_grid(synth_profile(100.0, 0.1, "C", seed=8), 0.1)
+        s = grid.stations
+        expected = grid.elevations[:, 0]
+        if params.lambda_x:
+            expected = make_smoothing_spline(s, grid.elevations, lam=params.lambda_x, axis=0)(s)[:, 0]
+        if params.lambda_z:
+            expected = make_smoothing_spline(s, expected, lam=params.lambda_z)(s)
+        for offset in (-2.0, -1.3, 0.0, 0.25, 1.999, 2.0):
+            assert np.array_equal(wheel_track_profile(grid, offset, params), expected), offset
+
+    def test_lateral_position_moves_no_bit_on_equal_columns(self):
+        grid = straight_grid(synth_profile(200.0, 0.1, "C", seed=12), 0.1)
+        scenario = Scenario(road=grid, target_speed=20.0)
+        runs = [
+            simulate(scenario.with_inputs(0.0, l_p, 1.0), default_car(), default_geometry()) for l_p in (0.0, 0.7)
+        ]
+        assert np.array_equal(runs[0].a_z.values, runs[1].a_z.values)
+
     def test_offset_outside_grid(self, flat_grid_file):
         grid = load_grid(flat_grid_file)
         with pytest.raises(DomainBoundsError):
@@ -323,7 +407,8 @@ class TestWheelTrack:
     def test_equals_the_bicubic_surface_at_every_station(self, make_grid):
         # the rows' spline across the offsets, read at one offset, is the
         # interpolating surface through the grid (cubic along the stations;
-        # cubic across the offsets, lower below four) read at the stations
+        # cubic across the offsets, lower below four) read at the stations;
+        # its weights are make_interp_spline's
         rng = np.random.default_rng(17)
         if callable(make_grid):
             grid = make_grid()
@@ -335,9 +420,11 @@ class TestWheelTrack:
             grid = RoadGrid(ref_line=ref, lateral_offsets=offsets, elevations=z, grid_step=0.1)
         s, v, z = grid.stations, grid.lateral_offsets, grid.elevations
         bicubic = RectBivariateSpline(s, v, z, kx=3, ky=min(3, len(v) - 1), s=0)
+        weights = make_interp_spline(v, np.eye(len(v)), k=min(3, len(v) - 1))
         surface = SurfaceInterpolator(grid)
         tol = 1e-13 * (z.max() - z.min())
         for offset in np.concatenate([v, rng.uniform(v[0], v[-1], 40)]):
+            assert np.max(np.abs(surface.weights(offset) - weights(offset))) <= 1e-13, offset
             assert np.max(np.abs(surface.track(offset) - bicubic(s, [offset])[:, 0])) <= tol, offset
 
 

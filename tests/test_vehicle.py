@@ -296,20 +296,19 @@ class TestDrivePlan:
 
     def test_two_corners_match_four(self, car, geometry, class_c_grid):
         # the right track extracted and integrated on its own, as a plan
-        # without the grid rule would; the roll rate is exactly zero with two
-        # corners and rounding noise (~1e-16 deg/s) with four
+        # without the grid rule would; on a laterally uniform grid both
+        # tracks are the grid's column, so the two plans agree bit for bit
         scenario = Scenario(road=class_c_grid, target_speed=20.0, l_p=0.4)
         plan = drive_plan(scenario, geometry, car.mu_tire)
         right = wheel_track_profile(class_c_grid, scenario.l_p - geometry.track_width / 2)
-        s_half = half_grid_input(plan.s)
+        s_half = half_grid_input(plan.s.values)
         fr = vehicle._corner_input(np.interp(s_half, class_c_grid.stations, right), plan.dt)
         rr = vehicle._corner_input(np.interp(s_half - geometry.wheelbase, class_c_grid.stations, right), plan.dt)
         four = replace(plan, wheels=(plan.wheels[0], fr, plan.wheels[2], rr))
         assert not four.same_sides
         two_run, four_run = corner_dynamics(plan, car), corner_dynamics(four, car)
         for name in self.CHANNELS:
-            a, b = two_run.channel(name).values, four_run.channel(name).values
-            assert np.max(np.abs(a - b)) <= 1e-12 * max(np.max(np.abs(b)), 1.0), name
+            assert np.array_equal(two_run.channel(name).values, four_run.channel(name).values), name
 
     def test_two_corners_heave_equals_four_products(self, car, geometry, class_c_grid):
         # the left-side a_z products are reused for the right, in the sum
@@ -376,6 +375,14 @@ class TestDrivePlan:
         hit = corner_dynamics(plan, car, stiff)
         for name in self.CHANNELS:
             assert np.array_equal(hit.channel(name).values, reference.channel(name).values), name
+
+    def test_runs_over_one_plan_share_its_channels(self, car, geometry, class_c_grid):
+        # the plan wraps its channels in TimeSeries once; every run returns them
+        plan = drive_plan(Scenario(road=class_c_grid, target_speed=20.0), geometry, car.mu_tire)
+        first, second = corner_dynamics(plan, car), corner_dynamics(plan, replace(car, k_s=34000.0))
+        for name in ("v_x", "a_x", "a_y", "psi_rate", "s"):
+            assert getattr(first, name) is getattr(second, name) is getattr(plan, name), name
+        assert first.a_z is not second.a_z
 
     def test_right_wheel_off_a_uniform_grid_fails(self, car, geometry):
         # only the left track is read, but the right wheel must lie on the road
