@@ -126,16 +126,19 @@ def analyze(cfg: PipelineConfig, out_dir) -> dict:
     plan = sampling.lhs(cfg.distributions, cfg.n, cfg.seed)
     _write(out_dir, "sample_plan.csv", plan.to_csv_text(), outputs)
 
-    aggregators = dict.fromkeys(("ax", "ay", "az"), cfg.aggregator)
+    merged = {ch: signals.aggregate(cfg.aggregator) for ch in ("ax", "ay", "az")}
     if "iri" in cfg.methods:
-        aggregators["vx"] = "mean"  # the IRI classification speed
+        merged["vx"] = signals.aggregate("mean")  # the IRI classification speed
     weightings = {axis: iso2631.load_weighting(w) for axis, w in cfg.weightings.items()}
 
     def reduce(run):
-        """All ``analyze`` keeps of a run: its space series and, for the iso method, its per-window a_v."""
-        space = signals.to_space(run, tuple(aggregators), cfg.ds)
+        """Merge a run's space series into ``merged``; keep only its per-window a_v (iso method)."""
+        space = signals.to_space(run, tuple(merged), cfg.ds)
         a_v = sections.iso_window_av(run, edges, weightings, cfg.k_factors) if "iso" in cfg.methods else None
-        return space, a_v
+        # series of one to_space call share their grid: if the first fits, all do
+        for ch, series in space.items():
+            merged[ch].add(series)
+        return a_v
 
     batch = sampling.run_batch(plan, scenario, cfg.front, cfg.geometry, reduce, dt=cfg.dt, rear_params=cfg.rear)
     fail_text = "row,reason\n" + "".join(f"{i},{reason}\n" for i, reason in batch.failures)
@@ -147,8 +150,7 @@ def analyze(cfg: PipelineConfig, out_dir) -> dict:
     summary: dict = {"failures": batch.failures, "reports": {}}
     tables: list[str] = []
 
-    per_run_space, per_run_av = zip(*batch.reduced)
-    space = {ch: signals.aggregate([run[ch] for run in per_run_space], how) for ch, how in aggregators.items()}
+    space = {ch: acc.result() for ch, acc in merged.items()}
     rows = zip(space["ax"].positions, space["ax"].values, space["ay"].values, space["az"].values, strict=True)
     text = "s,ax,ay,az\n" + "".join(f"{s:.3f},{ax:.6e},{ay:.6e},{az:.6e}\n" for s, ax, ay, az in rows)
     _write(out_dir, "space_signals.csv", text, outputs)
@@ -160,7 +162,7 @@ def analyze(cfg: PipelineConfig, out_dir) -> dict:
         summary["reports"]["threshold"] = reports
 
     if "iso" in cfg.methods:
-        iso_windows = sections.classify_windows_iso(per_run_av, edges, cfg.iso_reduction)
+        iso_windows = sections.classify_windows_iso(batch.reduced, edges, cfg.iso_reduction)
         _write(out_dir, "iso_report.csv", iso_windows.report.to_csv_text(), outputs)
         rows = zip(centers, iso_windows.a_v, iso_windows.labels)
         text = "s_center,a_v,label\n" + "".join(f"{s:.3f},{a_v:.6e},{label}\n" for s, a_v, label in rows)

@@ -16,7 +16,7 @@ import threading
 import numpy as np
 
 from .errors import DomainBoundsError, GridParseError, InvalidInput
-from .signals import is_data_line, parse_rows
+from .signals import is_data_line, parse_rows, uniform_step
 
 __all__ = [
     "ReferenceLine",
@@ -188,9 +188,12 @@ def save_grid(path, grid: RoadGrid) -> None:
     """Write a grid in the plain-text format understood by :func:`load_grid`.
 
     Floats are written with ``repr`` so a save/load round trip is exact.
+    The format holds evenly spaced lateral offsets only: uneven ones raise
+    :class:`InvalidInput` before anything is written.
     """
     step = float(grid.stations[1] - grid.stations[0])
     offsets = grid.lateral_offsets
+    uniform_step(offsets, "the grid file format needs evenly spaced lateral offsets")
     buf = io.StringIO()
     buf.write(f"station_step={step!r}\n")
     buf.write(f"offset_start={float(offsets[0])!r}\n")
@@ -286,16 +289,44 @@ def _clean_grid(elevations: np.ndarray, ref_elevation: np.ndarray) -> tuple[np.n
     return cleaned, int(mask.sum())
 
 
+#: Compare-exchanges of a median-of-9 network (Paeth's): each puts the
+#: smaller value at its first index, and after all 19 value 4 of the nine
+#: is their median.
+_MEDIAN_OF_9 = (
+    (1, 2), (4, 5), (7, 8), (0, 1), (3, 4), (6, 7), (1, 2), (4, 5), (7, 8), (0, 3),
+    (5, 8), (4, 7), (3, 6), (1, 4), (2, 5), (4, 7), (4, 2), (6, 4), (4, 2),
+)
+
+#: Cells per block of :func:`_local_median`: its work arrays stay in cache,
+#: and below the allocator's smallest threshold for mapping fresh pages.
+_MEDIAN_BLOCK = 8192
+
+
 def _local_median(z: np.ndarray) -> np.ndarray:
     """Median of each cell's 3x3 neighbourhood, the edges padded with their nearest cells.
 
-    The median is one of the nine values, so the selection is exact.
+    The nine neighbours of every cell go through the median-of-9 network of
+    elementwise minima and maxima.  The median is one of the nine values, so
+    the selection is exact.  On the flattened padded grid, ``width`` cells
+    to a row, the neighbours of cell ``k`` are ``k + di * width + dj``, so
+    each of the nine is one contiguous run and the network works on long
+    lines, a block of cells at a time.  The runs cover the pad columns too
+    (an extra pad row keeps the last run inside the array); their medians
+    are dropped.
     """
     rows, cols = z.shape
-    padded = np.pad(z, 1, mode="edge")
-    near = np.stack([padded[i : i + rows, j : j + cols] for i in range(3) for j in range(3)], axis=-1)
-    near.partition(4, axis=-1)
-    return near[..., 4]
+    width = cols + 2
+    flat = np.pad(z, ((1, 2), (1, 1)), mode="edge").ravel()
+    size = rows * width
+    offsets = [width + 1 + di * width + dj for di in (-1, 0, 1) for dj in (-1, 0, 1)]
+    out = np.empty(size)
+    for start in range(0, size, _MEDIAN_BLOCK):
+        stop = min(start + _MEDIAN_BLOCK, size)
+        near = [flat[offset + start : offset + stop] for offset in offsets]
+        for a, b in _MEDIAN_OF_9:
+            near[a], near[b] = np.minimum(near[a], near[b]), np.maximum(near[a], near[b])
+        out[start:stop] = near[4]
+    return out.reshape(rows, width)[:, :cols]
 
 
 def _local_mean(z: np.ndarray) -> np.ndarray:

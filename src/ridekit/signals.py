@@ -216,42 +216,72 @@ def to_space(run: VehicleResponse, channels: tuple[str, ...], ds: float) -> dict
     return out
 
 
-def aggregate(runs: list[SpaceSeries], aggregator: str = "mean") -> SpaceSeries:
-    """Merge per-run space series sample-by-sample.
+class aggregate:  # noqa: N801 - lowercase: bench/tracing.py wraps it by this name
+    """Running sample-by-sample merge of per-run space series, fed one run at a time.
 
     ``"mean"`` keeps the smooth across-run average, ``"max-abs-envelope"``
     the worst-case sample with its sign (the positive one when a positive and
     a negative sample tie in magnitude, so the order of the runs does not
-    matter).  Runs are trimmed to their common overlap first; their grids
-    must share ``ds`` and be offset by whole multiples of it.
+    matter).  :meth:`add` trims what it holds and the new run to their common
+    overlap; the grids must share ``ds`` and be offset by whole multiples of
+    it.  A run that does not fit raises and leaves the held runs as they were.
+
+    The result equals stacking the runs in the order they were added, trimmed
+    to the overlap of all of them, and merging along the stack, bit for bit:
+    an axis-0 sum adds the rows one after another, as :meth:`add` does, and
+    the envelope's extremes are exact.  Only one row's worth of sums or
+    extremes is held, however many runs are added.
     """
-    if not runs:
-        raise InvalidInput("no runs to aggregate")
-    if aggregator not in AGGREGATORS:
-        raise InvalidInput(f"aggregator must be one of {AGGREGATORS}")
-    ds = runs[0].ds
-    for r in runs[1:]:
-        if abs(r.ds - ds) > 1e-12 * ds:
+
+    def __init__(self, aggregator: str = "mean"):
+        if aggregator not in AGGREGATORS:
+            raise InvalidInput(f"aggregator must be one of {AGGREGATORS}")
+        self.aggregator = aggregator
+        self.count = 0
+        self._held: list[np.ndarray] = []  # the sum, or the maximum and the minimum
+
+    def add(self, run: SpaceSeries) -> None:
+        """Merge one more run into the held overlap."""
+        if not self.count:
+            self._first, self._ds = run.s0, run.ds
+            self._start, self._end = run.s0, run.s0 + (len(run) - 1) * run.ds
+            values = np.array(run.values, dtype=float)
+            self._held = [values] if self.aggregator == "mean" else [values, values.copy()]
+            self.count = 1
+            return
+        ds = self._ds
+        if abs(run.ds - ds) > 1e-12 * ds:
             raise DimensionMismatch("runs disagree in ds")
-        offset = (r.s0 - runs[0].s0) / ds
+        offset = (run.s0 - self._first) / ds
         if abs(offset - round(offset)) > 1e-6:
             raise DimensionMismatch("run grids are not aligned (s0 offsets not multiples of ds)")
-    start = max(r.s0 for r in runs)
-    end = min(r.s0 + (len(r) - 1) * r.ds for r in runs)
-    if end < start:
-        raise InvalidInput("runs share no overlapping extent")
-    rows = []
-    for r in runs:
-        i0 = int(round((start - r.s0) / ds))
-        i1 = i0 + int(round((end - start) / ds)) + 1
-        rows.append(r.values[i0:i1])
-    stack = np.vstack(rows)
-    if aggregator == "mean":
-        merged = stack.mean(axis=0)
-    else:
-        top, bottom = stack.max(axis=0), stack.min(axis=0)
-        merged = np.where(top >= -bottom, top, bottom)
-    return SpaceSeries(s0=float(start), ds=ds, values=merged)
+        start = max(self._start, run.s0)
+        end = min(self._end, run.s0 + (len(run) - 1) * run.ds)
+        if end < start:
+            raise InvalidInput("runs share no overlapping extent")
+        width = int(round((end - start) / ds)) + 1
+        k0 = int(round((start - self._start) / ds))
+        i0 = int(round((start - run.s0) / ds))
+        row = run.values[i0 : i0 + width]
+        held = [h[k0 : k0 + width] for h in self._held]
+        if self.aggregator == "mean":
+            held[0] += row
+        else:
+            np.maximum(held[0], row, out=held[0])
+            np.minimum(held[1], row, out=held[1])
+        self._held, self._start, self._end = held, start, end
+        self.count += 1
+
+    def result(self) -> SpaceSeries:
+        """The merged series over the overlap of every run added."""
+        if not self.count:
+            raise InvalidInput("no runs to aggregate")
+        if self.aggregator == "mean":
+            merged = self._held[0] / self.count
+        else:
+            top, bottom = self._held
+            merged = np.where(top >= -bottom, top, bottom)
+        return SpaceSeries(s0=float(self._start), ds=self._ds, values=merged)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 import ridekit
-from ridekit import iso2631, road, sampling, thresholds
+from ridekit import iso2631, road, sampling, signals, thresholds
 from ridekit.cli import main
 from ridekit.config import check_smoothing_fits, load_config
 from ridekit.errors import ConfigError
@@ -561,8 +561,9 @@ class TestBatchMatchesSingleRuns:
     def test_each_row_reduces_as_its_single_run(self, tmp_path, monkeypatch):
         # the reduction analyze applies in its batch gives, for every row that
         # succeeds, what it gives for a direct simulate of that row, bit for
-        # bit; two of the four l_p strata lie past the 1.5 m lane, so two rows fail
-        calls = []
+        # bit: the per-window a_v it keeps and the space series it merges;
+        # two of the four l_p strata lie past the 1.5 m lane, so two rows fail
+        calls, merges = [], []
         original = sampling.run_batch
 
         def recording(plan, scenario, params, geometry, reduce, **kwargs):
@@ -570,7 +571,18 @@ class TestBatchMatchesSingleRuns:
             calls.append((plan, scenario, params, geometry, reduce, kwargs, batch))
             return batch
 
+        class RecordingAggregate(signals.aggregate):
+            def __init__(self, aggregator):
+                super().__init__(aggregator)
+                self.added = []
+                merges.append(self)
+
+            def add(self, run):
+                self.added.append(run)
+                super().add(run)
+
         monkeypatch.setattr(sampling, "run_batch", recording)
+        monkeypatch.setattr(signals, "aggregate", RecordingAggregate)
         path = write_config(
             tmp_path / "c.yaml",
             road={"synthetic": {"length": 200.0, "step": 0.1, "roughness_class": "C", "lateral_span": 2.5}},
@@ -581,18 +593,23 @@ class TestBatchMatchesSingleRuns:
             },
             batch={"n": 4, "dt": 0.002},
         )
-        analyze(load_config(path), tmp_path / "out")
+        cfg = load_config(path)
+        analyze(cfg, tmp_path / "out")
         [(plan, scenario, params, geometry, reduce, kwargs, batch)] = calls
         failed = [i for i, _ in batch.failures]
         assert len(failed) == 2
         kept = [i for i in range(plan.n) if i not in failed]
-        for i, (space, a_v) in zip(kept, batch.reduced, strict=True):
+        channels = ("ax", "ay", "az", "vx")  # the merges in the order analyze makes them
+        assert len(merges) == len(channels)
+        assert all(len(merge.added) == len(kept) for merge in merges)
+        for k, (i, a_v) in enumerate(zip(kept, batch.reduced, strict=True)):
             run = simulate(scenario.with_inputs(**plan.row_inputs(i)), params, geometry, **kwargs)
-            single_space, single_a_v = reduce(run)
-            assert set(space) == set(single_space) == {"ax", "ay", "az", "vx"}
-            for ch, series in space.items():
+            single_space = signals.to_space(run, channels, cfg.ds)
+            for ch, merge in zip(channels, merges):
+                series = merge.added[k]
                 assert (series.s0, series.ds) == (single_space[ch].s0, single_space[ch].ds)
                 assert np.array_equal(series.values, single_space[ch].values)
+            single_a_v = reduce(run)
             assert len(a_v) == 40 and np.array_equal(a_v, single_a_v)
 
 

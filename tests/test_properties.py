@@ -1,4 +1,5 @@
-"""Property tests of the method layer and the trace reader shared by the pipeline and the CLI.
+"""Property tests of the method layer and the trace reader shared by the pipeline
+and the CLI, of the cross-run aggregate, and of the simulation's physics.
 
 Grid steps and window lengths are powers of two, so ``floor(extent /
 window)`` is exact and the expected window count needs no tolerance.  Band
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ridekit import iso2631, sections, thresholds
+from ridekit import iso2631, road, sections, thresholds, vehicle
 from ridekit.signals import (
     CHANNEL_NAMES,
     SpaceSeries,
@@ -124,24 +125,56 @@ def test_iso_label_is_monotone_in_a_v(values):
     assert severities == sorted(severities)
 
 
+def _merge(runs, aggregator):
+    acc = aggregate(aggregator)
+    for run in runs:
+        acc.add(run)
+    return acc.result()
+
+
+def _random_runs(rng, n_runs, n, ds):
+    """Runs of unequal length, offset by whole multiples of ``ds``, sharing at
+    least one position; values from a few magnitudes with random signs, so
+    ties in |value| are common."""
+    magnitudes = rng.uniform(0.0, 5.0, 4)
+    runs = []
+    for k in rng.integers(0, 20, n_runs):
+        size = n + 20 - k + int(rng.integers(0, 30))
+        values = rng.choice(magnitudes, size) * rng.choice([-1.0, 1.0], size)
+        runs.append(SpaceSeries(float(ds * k), ds, values))
+    return runs
+
+
 @settings(max_examples=80, deadline=None)
 @given(seed=seeds, n_runs=st.integers(1, 6), n=st.integers(1, 200), data=st.data())
 def test_aggregate_commutes_with_run_order(seed, n_runs, n, data):
-    # values from a few magnitudes with random signs, so ties in |value| are common
-    rng = np.random.default_rng(seed)
-    magnitudes = rng.uniform(0.0, 5.0, 4)
-    runs = []
-    for start in DS * rng.integers(0, 20, n_runs):
-        values = rng.choice(magnitudes, n + 20) * rng.choice([-1.0, 1.0], n + 20)
-        runs.append(SpaceSeries(float(start), DS, values))
+    runs = _random_runs(np.random.default_rng(seed), n_runs, n, DS)
     order = data.draw(st.permutations(range(n_runs)))
     shuffled = [runs[k] for k in order]
-    envelope = aggregate(runs, "max-abs-envelope")
-    assert np.array_equal(aggregate(shuffled, "max-abs-envelope").values, envelope.values)
-    mean, mean_shuffled = aggregate(runs, "mean"), aggregate(shuffled, "mean")
+    envelope = _merge(runs, "max-abs-envelope")
+    assert np.array_equal(_merge(shuffled, "max-abs-envelope").values, envelope.values)
+    mean, mean_shuffled = _merge(runs, "mean"), _merge(shuffled, "mean")
     assert (mean.s0, len(mean)) == (mean_shuffled.s0, len(mean_shuffled))
     scale = max(np.max(np.abs(r.values)) for r in runs)
     assert np.max(np.abs(mean.values - mean_shuffled.values)) <= 1e-15 * scale
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=seeds, n_runs=st.integers(1, 8), n=st.integers(1, 200), ds=st.sampled_from([DS, 0.1, 0.3]))
+def test_running_aggregate_equals_the_stacked_runs_bit_for_bit(seed, n_runs, n, ds):
+    # the reference trims every run to the overlap of all of them, stacks
+    # the rows in order and merges along the stack
+    runs = _random_runs(np.random.default_rng(seed), n_runs, n, ds)
+    start = max(r.s0 for r in runs)
+    end = min(r.s0 + (len(r) - 1) * r.ds for r in runs)
+    width = int(round((end - start) / ds)) + 1
+    stack = np.vstack([r.values[int(round((start - r.s0) / ds)) :][:width] for r in runs])
+    top, bottom = stack.max(axis=0), stack.min(axis=0)
+    expected = {"mean": stack.mean(axis=0), "max-abs-envelope": np.where(top >= -bottom, top, bottom)}
+    for how, values in expected.items():
+        out = _merge(runs, how)
+        assert (out.s0, out.ds) == (start, ds)
+        assert out.values.tobytes() == values.tobytes(), how
 
 
 # any finite float64, with the edge values drawn often: signed zeros,
@@ -163,3 +196,53 @@ def test_trace_reader_returns_written_floats_bit_for_bit(columns):
         back = read_response_csv(path)
     for k, name in enumerate(CHANNEL_NAMES):
         assert back.channel(name).values.tobytes() == columns[:, k].tobytes(), name
+
+
+# --- the simulation's physics: null inputs and linearity in the road ---------------
+
+ROAD_STEP = 0.1
+ROAD_STATIONS = 2001  # 200 m
+speeds = st.floats(12.0, 30.0)
+lane_offsets = st.floats(-0.4, 0.4)
+
+
+def _simulate(grid, speed, l_p):
+    scenario = vehicle.Scenario(road=grid, target_speed=speed, l_p=l_p)
+    return vehicle.simulate(scenario, vehicle.default_car(), vehicle.default_geometry(), dt=1e-3)
+
+
+def _varied_grid(seed, scale=1.0):
+    """A straight grid whose five offset columns are independent class-C profiles."""
+    columns = [road.synth_profile(200.0, ROAD_STEP, "C", seed + k) for k in range(5)]
+    z = scale * np.column_stack([np.append(c, c[0]) for c in columns])
+    stations = ROAD_STEP * np.arange(len(z))
+    ref = road.ReferenceLine.from_geometry(stations, np.zeros(len(z)), np.zeros(len(z)))
+    return road.RoadGrid(ref_line=ref, lateral_offsets=np.linspace(-2.0, 2.0, 5), elevations=z, grid_step=ROAD_STEP)
+
+
+@settings(max_examples=10, deadline=None)
+@given(speed=speeds, l_p=lane_offsets)
+def test_flat_road_gives_no_heave(speed, l_p):
+    run = _simulate(road.straight_grid(np.zeros(ROAD_STATIONS), ROAD_STEP), speed, l_p)
+    assert not np.any(run.a_z.values)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=seeds, speed=speeds, l_p=lane_offsets)
+def test_laterally_uniform_road_gives_no_roll(seed, speed, l_p):
+    profile = road.synth_profile(200.0, ROAD_STEP, "C", seed)
+    run = _simulate(road.straight_grid(np.append(profile, profile[0]), ROAD_STEP), speed, l_p)
+    assert np.max(np.abs(run.a_z.values)) > 0
+    assert not np.any(run.phi_rate.values)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**16), speed=speeds, l_p=lane_offsets)
+def test_vertical_response_scales_with_the_road(seed, speed, l_p):
+    base = _simulate(_varied_grid(seed), speed, l_p)
+    scaled = _simulate(_varied_grid(seed, 2.5), speed, l_p)
+    for name in ("az", "phi_rate", "theta_rate"):
+        expected = 2.5 * base.channel(name).values
+        peak = np.max(np.abs(expected))
+        assert peak > 0
+        assert np.max(np.abs(scaled.channel(name).values - expected)) <= 1e-12 * peak, name

@@ -91,6 +91,31 @@ class TestLoadGrid:
         # the shifted sums at the rounding level of the values
         assert np.max(np.abs(road._local_mean(z) - uniform_filter(z, size=3, mode="nearest"))) <= 1e-14
 
+    def test_local_median_with_ties_at_the_edges_equals_the_scipy_filter(self):
+        # few distinct values, and edge rows and columns that repeat their
+        # neighbours, so the edge padding makes ties of three and more
+        z = np.random.default_rng(4).choice([-1.0, 0.0, 0.5, 2.0], size=(37, 6))
+        z[0], z[-1], z[:, 0], z[:, -1] = z[1], z[-2], z[:, 1], z[:, -2]
+        assert np.array_equal(road._local_median(z), median_filter(z, size=3, mode="nearest"))
+
+    def test_median_network_selects_the_median_of_every_zero_one_input(self):
+        # a compare-exchange network selects the median of any nine values if
+        # it does so for all 512 inputs of zeros and ones
+        bits = (np.arange(512)[:, None] >> np.arange(9)) & 1
+        near = [column.astype(float) for column in bits.T]
+        for a, b in road._MEDIAN_OF_9:
+            near[a], near[b] = np.minimum(near[a], near[b]), np.maximum(near[a], near[b])
+        assert np.array_equal(near[4], np.median(bits, axis=1))
+
+    def test_non_finite_cell_rejected(self, tmp_path):
+        path = tmp_path / "nan.txt"
+        z = np.zeros((6, 3))
+        z[3, 1] = np.nan
+        z[4, 2] = 20.0  # an implausible cell is replaced; the missing one cannot be
+        write_grid_text(path, np.arange(6.0), np.zeros(6), np.zeros(6), z, 1.0)
+        with pytest.raises(GridParseError, match="missing or non-finite cells"):
+            load_grid(path)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_cleaning_replaces_the_cells_of_the_scipy_filters(self, seed):
         # planted outliers of both signs, in the interior and the edge
@@ -136,6 +161,13 @@ class TestLoadGrid:
         assert np.array_equal(back.lateral_offsets, grid.lateral_offsets)
         assert np.array_equal(back.ref_line.headings, grid.ref_line.headings)
         assert np.array_equal(back.ref_line.elevation, grid.ref_line.elevation)
+
+    def test_uneven_offsets_are_not_saved(self, tmp_path):
+        # the format stores one offset step, so uneven columns would come back moved
+        path = tmp_path / "uneven.txt"
+        with pytest.raises(InvalidInput, match="evenly spaced lateral offsets"):
+            save_grid(path, curved_crossfall_grid())
+        assert not path.exists()
 
     def test_non_monotone_stations(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -175,6 +175,28 @@ class TestRunBatch:
             assert np.array_equal(run.a_z.values, direct.a_z.values)
             assert np.array_equal(run.s.values, direct.s.values)
 
+    def test_kept_responses_outlive_later_runs(self, car, geometry):
+        # the batch reuses a finished run's memory for later runs: a response
+        # that reduce keeps must not be written over.  Rows of one speed give
+        # runs of one length, on a grid where each lane offset reads its own
+        # profile, so a reused array would hold another run's values.
+        scenario = Scenario(road=curved_crossfall_grid(), target_speed=SpeedProfile.constant(15.0))
+        rows = [[0.0, -0.5, 1.0], [0.0, 0.3, 1.0], [0.2, 0.0, 0.9], [0.0, 0.6, 1.0]]
+        plan = SamplePlan(names=("v_dev", "l_p", "mu_rs"), matrix=np.array(rows), seed=0)
+        at_reduce = []
+
+        def reduce(run):
+            at_reduce.append({name: ch.values.copy() for name, ch in run.channels().items()})
+            return run
+
+        batch = run_batch(plan, scenario, car, geometry, reduce=reduce, dt=2e-3)
+        assert batch.failures == []
+        for i, (run, snapshot) in enumerate(zip(batch.reduced, at_reduce, strict=True)):
+            fresh = simulate(scenario.with_inputs(*plan.matrix[i]), car, geometry, dt=2e-3)
+            for name, ch in run.channels().items():
+                assert ch.values.tobytes() == snapshot[name].tobytes(), (i, name)
+                assert ch.values.tobytes() == fresh.channel(name).values.tobytes(), (i, name)
+
     def test_unknown_plan_column_rejected(self, batch_setup, car, geometry):
         _, scenario = batch_setup
         plan = SamplePlan(names=("v_dev", "wind"), matrix=np.zeros((1, 2)), seed=0)

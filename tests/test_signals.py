@@ -218,46 +218,73 @@ class TestToSpace:
             assert np.array_equal(single.values, np.interp(t_at, ch.t, ch.values))
 
 
+def merge(runs, aggregator="mean"):
+    """The result of one accumulator fed ``runs`` in order."""
+    acc = aggregate(aggregator)
+    for run in runs:
+        acc.add(run)
+    return acc.result()
+
+
 class TestAggregate:
     def test_single_run_identity(self):
         one = SpaceSeries(0.0, 1.0, [1.0, 2.0, 3.0])
-        out = aggregate([one], "mean")
-        assert np.allclose(out.values, one.values)
+        for how in ("mean", "max-abs-envelope"):
+            out = merge([one], how)
+            assert (out.s0, out.ds) == (one.s0, one.ds)
+            assert np.array_equal(out.values, one.values)
 
     def test_mean(self):
         runs = [SpaceSeries(0.0, 1.0, [1.0, 1.0]), SpaceSeries(0.0, 1.0, [3.0, 3.0])]
-        out = aggregate(runs, "mean")
+        out = merge(runs, "mean")
         assert np.allclose(out.values, [2.0, 2.0])
 
     def test_max_abs_envelope_keeps_sign(self):
         runs = [SpaceSeries(0.0, 1.0, [1.0, -5.0]), SpaceSeries(0.0, 1.0, [2.0, 1.0])]
-        out = aggregate(runs, "max-abs-envelope")
+        out = merge(runs, "max-abs-envelope")
         assert np.allclose(out.values, [2.0, -5.0])
 
     def test_max_abs_envelope_tie_takes_the_positive_sample(self):
         a = SpaceSeries(0.0, 1.0, [0.5, -1.0, 0.2])
         b = SpaceSeries(0.0, 1.0, [-0.5, 1.0, 0.1])
         for runs in ([a, b], [b, a]):
-            assert np.array_equal(aggregate(runs, "max-abs-envelope").values, [0.5, 1.0, 0.2])
+            assert np.array_equal(merge(runs, "max-abs-envelope").values, [0.5, 1.0, 0.2])
 
     def test_empty_rejected(self):
-        with pytest.raises(InvalidInput):
-            aggregate([], "mean")
+        with pytest.raises(InvalidInput, match="no runs"):
+            aggregate("mean").result()
+        with pytest.raises(InvalidInput, match="aggregator"):
+            aggregate("median")
 
     def test_trims_to_common_overlap(self):
         runs = [
             SpaceSeries(0.0, 1.0, [0.0, 1.0, 2.0, 3.0, 4.0]),
             SpaceSeries(2.0, 1.0, [12.0, 13.0, 14.0, 15.0]),
         ]
-        out = aggregate(runs, "mean")
+        out = merge(runs, "mean")
         assert out.s0 == 2.0
         assert len(out) == 3
         assert np.allclose(out.values, [7.0, 8.0, 9.0])
 
     def test_misaligned_grids_rejected(self):
-        runs = [SpaceSeries(0.0, 1.0, [1.0, 2.0]), SpaceSeries(0.5, 1.0, [1.0, 2.0])]
-        with pytest.raises(DimensionMismatch):
-            aggregate(runs)
+        # a run that does not fit raises and leaves the held runs as they were
+        good = [SpaceSeries(0.0, 1.0, [1.0, -2.0, 3.0]), SpaceSeries(1.0, 1.0, [4.0, 5.0])]
+        bad = [
+            (SpaceSeries(0.5, 1.0, [1.0, 2.0]), DimensionMismatch),
+            (SpaceSeries(0.0, 0.5, [1.0, 2.0]), DimensionMismatch),
+            (SpaceSeries(7.0, 1.0, [1.0, 2.0]), InvalidInput),
+        ]
+        for how in ("mean", "max-abs-envelope"):
+            acc = aggregate(how)
+            for run in good:
+                acc.add(run)
+            for run, error in bad:
+                with pytest.raises(error):
+                    acc.add(run)
+            assert acc.count == 2
+            expected, out = merge(good, how), acc.result()
+            assert (out.s0, len(out)) == (expected.s0, len(expected))
+            assert np.array_equal(out.values, expected.values)
 
 
 class TestTraceCsv:
