@@ -21,7 +21,10 @@ solve over the whole call.  The basis is orthogonal, so the modal
 coordinates are no larger than the state and their rounding is not
 amplified, however close ``Phi`` is to the identity or the eigenvectors are
 to each other.  Both paths produce the same iterates (up to float rounding);
-the loop remains as the reference in the test suite.
+the loop remains as the reference in the test suite.  The band and its
+chunked solve (``recursion_band``, ``solve_recursion``) serve any such
+recursion: ``iso2631`` runs its weighting filter's block-to-block state
+through them.
 
 The parts that depend only on ``(A, B, dt)`` (the Schur basis, the input
 matrices and the band of the longest chunk) come from ``_discretised``,
@@ -39,7 +42,7 @@ import numpy as np
 
 from .errors import NumericFailure
 
-__all__ = ["rk4_lti", "rk4_lti_loop", "half_grid_input"]
+__all__ = ["rk4_lti", "rk4_lti_loop", "half_grid_input", "recursion_band", "solve_recursion"]
 
 
 def half_grid_input(samples: np.ndarray) -> np.ndarray:
@@ -69,11 +72,10 @@ def half_grid_input(samples: np.ndarray) -> np.ndarray:
 #: each row meets the same kernel code as in the whole product.
 _BLOCK_ROWS = 8192
 
-#: Steps per chunk of ``rk4_lti``; the last chunk of a call may be one step
-#: longer, since a chunk of one step would hand its input products to gemv.
-#: The memo holds one band per system, (n + 2) x n (_CHUNK_STEPS + 2) floats:
-#: 0.4 MB for a 4-state system.  At 8192 steps its 8 bands would come to
-#: 12.6 MB, more than 5 % of a calibration's 95 MB resident peak.
+#: Steps per chunk of ``rk4_lti`` (see ``solve_recursion``).  The memo holds
+#: one band per system, (n + 2) x n (_CHUNK_STEPS + 2) floats: 0.4 MB for a
+#: 4-state system.  At 8192 steps its 8 bands would come to 12.6 MB, more
+#: than 5 % of a calibration's 95 MB resident peak.
 _CHUNK_STEPS = 2048
 
 
@@ -116,6 +118,57 @@ def rk4_lti_loop(A, B, u_half: np.ndarray, dt: float, x0) -> np.ndarray:
     return out
 
 
+def recursion_band(phi: np.ndarray, chunk: int) -> np.ndarray:
+    """Band of the recursion ``z[k+1] = phi z[k] + w[k]`` for ``solve_recursion``.
+
+    ``phi`` is quasi-triangular, as a real Schur form is.  With the values
+    stored step by step (``z[k, j]`` at ``n*k + j``) the recursion is one unit
+    lower-triangular band: column n*k + j holds -phi[i, j] at row n - j + i,
+    where z[k, j] drives z[k+1, i].  phi is zero below its subdiagonal, so
+    n + 1 subdiagonals hold it; the rest is zero, and row 0, the unit
+    diagonal, is not read.  The band covers the longest chunk, ``chunk + 1``
+    steps after the carried state.
+    """
+    n = len(phi)
+    block = np.zeros((n + 2, n))
+    for j in range(n):
+        rows = min(j + 2, n)
+        block[n - j : n - j + rows, j] = -phi[:rows, j]
+    return np.asfortranarray(np.tile(block, chunk + 2))
+
+
+def solve_recursion(band: np.ndarray, z: np.ndarray, n_steps: int, drive, emit) -> None:
+    """Run ``z[k+1] = phi z[k] + w[k]`` for ``k < n_steps``, one chunk at a time.
+
+    ``band`` comes from ``recursion_band`` and sets the chunk length; the
+    last chunk of a call may be one step longer, since a chunk of one step
+    would hand its input products to gemv.  ``z`` is the caller's work array
+    of ``min(n_steps, chunk + 1) + 1`` rows or more, its first row the
+    starting value.  For each chunk of steps ``[start, stop)``,
+    ``drive(start, stop, w)`` writes ``w[start:stop]`` into ``w``; one LAPACK
+    ``dtbtrs`` solve writes the values over their drive; then
+    ``emit(start, stop, z)`` reads ``z[0:stop - start + 1]``, the values at
+    steps ``start`` to ``stop``.  The first block of each chunk's unknowns is
+    the value the last chunk carried; its band columns only feed the next
+    block, so the values are bit-identical to one solve over the whole call.
+    """
+    from scipy.linalg import lapack
+
+    n = band.shape[0] - 2
+    chunk = band.shape[1] // n - 2
+    edges = [0, *range(chunk, n_steps - 1, chunk), n_steps]
+    for start, stop in zip(edges, edges[1:]):
+        steps = stop - start
+        drive(start, stop, z[1 : steps + 1])
+        size = n * (steps + 1)
+        # overwrite_b: the solve writes the values over their drive
+        _, info = lapack.dtbtrs(band[:, :size], z.reshape(-1, 1)[:size], uplo="L", diag="U", overwrite_b=1)
+        if info != 0:
+            raise NumericFailure(f"modal recursion solve failed (LAPACK info {info})")
+        emit(start, stop, z[: steps + 1])
+        z[0] = z[steps]
+
+
 @functools.lru_cache(maxsize=8)
 def _discretised(a_bytes: bytes, a_shape: tuple, b_bytes: bytes, b_shape: tuple, dt: float) -> tuple:
     """The parts of ``rk4_lti`` that depend only on ``(A, B, dt)``, read-only.
@@ -141,16 +194,7 @@ def _discretised(a_bytes: bytes, a_shape: tuple, b_bytes: bytes, b_shape: tuple,
         g0 = dt * (I / 6 + M @ (I / 6 + M @ (I / 12 + M / 24))) @ qb
         gm = dt * (2 * I / 3 + M @ (I / 3 + M / 12)) @ qb
         g1 = dt / 6 * qb
-    # Band storage of the unit lower-triangular recursion: column n*k + j
-    # holds -Phi[i, j] at row n - j + i, where z[k, j] drives z[k+1, i].
-    # Phi is zero below its subdiagonal, so n + 1 subdiagonals hold it; the
-    # rest is zero, and row 0, the unit diagonal, is not read.
-    block = np.zeros((n + 2, n))
-    for j in range(n):
-        rows = min(j + 2, n)
-        block[n - j : n - j + rows, j] = -phi[:rows, j]
-    band = np.asfortranarray(np.tile(block, _CHUNK_STEPS + 2))
-    parts = (g0.T.copy(), gm.T.copy(), g1.T.copy(), Q.T.copy(), band)
+    parts = (g0.T.copy(), gm.T.copy(), g1.T.copy(), Q.T.copy(), recursion_band(phi, _CHUNK_STEPS))
     for part in parts:
         part.flags.writeable = False
     return parts
@@ -185,16 +229,12 @@ def rk4_lti(A, B, u_half: np.ndarray, dt: float, x0) -> np.ndarray:
     if n_steps == 0:
         return x0[None, :].copy()
 
-    from scipy.linalg import lapack
-
     g0, gm, g1, qt, band = _discretised(A.tobytes(), A.shape, B.tobytes(), B.shape, float(dt))
     n = len(qt)
     u0, um, u1 = u[0:-2:2], u[1:-1:2], u[2::2]
-    edges = [0, *range(_CHUNK_STEPS, n_steps - 1, _CHUNK_STEPS), n_steps]
     longest = min(n_steps, _CHUNK_STEPS + 1)
     # Work arrays for the longest chunk, reused by every chunk: the modal
-    # values step by step, the carried ones first, which the solve writes
-    # over its right-hand side, and one input product.
+    # values step by step, the carried ones first, and one input product.
     z = np.empty((longest + 1, n))
     product = np.empty((longest, n))
     # Allocated after the work arrays.  Allocated before them, the states sat
@@ -202,24 +242,21 @@ def rk4_lti(A, B, u_half: np.ndarray, dt: float, x0) -> np.ndarray:
     # top and the next call faulted it in again: calibrate's 8.45k-step calls
     # went from 0.4k to 170k minor faults a chain, 0.43 to 0.59 s.
     states = np.empty((n_steps + 1, n))
+
+    def drive(start, stop, w):
+        np.matmul(u0[start:stop], g0, out=w)
+        w += np.matmul(um[start:stop], gm, out=product[: stop - start])
+        w += np.matmul(u1[start:stop], g1, out=product[: stop - start])
+
+    def emit(start, stop, modal):
+        # Each chunk writes the states of its own steps, the last one also
+        # the final state; the next chunk starts from the carried value.
+        rows = stop - start + (stop == n_steps)
+        np.matmul(modal[:rows], qt, out=states[start : start + rows])
+
     with np.errstate(over="ignore", invalid="ignore"):
         np.matmul(qt, x0, out=z[0])
-        for start, stop in zip(edges, edges[1:]):
-            steps = stop - start
-            w = z[1 : steps + 1]
-            np.matmul(u0[start:stop], g0, out=w)
-            w += np.matmul(um[start:stop], gm, out=product[:steps])
-            w += np.matmul(u1[start:stop], g1, out=product[:steps])
-            size = n * (steps + 1)
-            # overwrite_b: the solve writes the modal values over their drive
-            _, info = lapack.dtbtrs(band[:, :size], z.reshape(-1, 1)[:size], uplo="L", diag="U", overwrite_b=1)
-            if info != 0:
-                raise NumericFailure(f"modal recursion solve failed (LAPACK info {info})")
-            # Each chunk writes the states of its own steps, the last one also
-            # the final state; the next chunk starts from the carried value.
-            rows = steps + (stop == n_steps)
-            np.matmul(z[:rows], qt, out=states[start : start + rows])
-            z[0] = z[steps]
+        solve_recursion(band, z, n_steps, drive, emit)
     states[0] = x0
     if not max(states.max(), -states.min()) <= 1e9:  # NaN fails too
         raise NumericFailure("state integration diverged")

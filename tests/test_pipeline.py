@@ -884,7 +884,8 @@ def run_fresh(script, *args):
 class TestImportBoundary:
     """Importing the package loads no SciPy and no yaml; each command loads the SciPy it runs.
 
-    scipy.signal (about 0.3 s to import) loads only where an ISO filter runs.
+    No command loads scipy.signal: the ISO weighting is designed in numpy and
+    filters on scipy.linalg, which the integration loads anyway.
     """
 
     def test_import_loads_no_scipy_and_no_yaml(self):
@@ -904,8 +905,11 @@ print(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "yaml")))
             ("iri", ("scipy.linalg",), ("scipy.interpolate", "scipy.ndimage", "scipy.special", "scipy.signal")),
             # an unsmoothed grid file: cleaned and read across on numpy alone
             ("calibrate", ("scipy.linalg",), ("scipy.interpolate", "scipy.ndimage", "scipy.special", "scipy.signal")),
+            ("iso", ("scipy.linalg",), ("scipy.signal", "scipy.stats", "scipy.ndimage")),
+            # the sampled plan needs scipy.special's normal quantiles
+            ("analyze", ("scipy.linalg", "scipy.special"), ("scipy.signal", "scipy.stats", "scipy.ndimage")),
         ],
-        ids=["version", "thresholds", "generate-road", "iri", "calibrate"],
+        ids=["version", "thresholds", "generate-road", "iri", "calibrate", "iso", "analyze"],
     )
     def test_each_command_loads_only_the_scipy_it_runs(
         self, command, loaded, not_loaded, reference_file, class_c_run, tmp_path
@@ -923,6 +927,8 @@ print(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "yaml")))
             ],
             "iri": ["iri", "--profile", profile, "--segment", "5", "--out", tmp_path / "iri.csv"],
             "calibrate": ["calibrate", "--config", config, "--reference", ref_path, "--out", tmp_path / "calib"],
+            "iso": ["iso", "--trace", trace, "--out", tmp_path / "iso.csv"],
+            "analyze": ["analyze", "--config", write_config(tmp_path / "a.yaml"), "--out", tmp_path / "report"],
         }[command]
         script = """
 import json, sys
@@ -990,16 +996,16 @@ print([(name, step(), "scipy.signal" in sys.modules) for name, step in steps])
         seen = run_fresh(script, config, ref_path, trace, profile, tmp_path)
         assert seen == repr([(name, 0, False) for name in ("import", "calibrate", "iri", "thresholds")])
 
-    def test_iso_command_imports_scipy_signal_on_first_use(self, class_c_run, tmp_path):
+    def test_iso_command_loads_scipy_linalg_and_never_scipy_signal(self, class_c_run, tmp_path):
         trace = tmp_path / "trace.csv"
         write_response_csv(trace, class_c_run)
         out = tmp_path / "iso.csv"
         script = """
 import sys
 from ridekit import cli
-before = "scipy.signal" in sys.modules
+before = "scipy.linalg" in sys.modules
 code = cli.main(["iso", "--trace", sys.argv[1], "--out", sys.argv[2]])
-print([before, code, "scipy.signal" in sys.modules])
+print([before, code, "scipy.linalg" in sys.modules, "scipy.signal" in sys.modules])
 """
-        assert run_fresh(script, trace, out) == repr([False, 0, True])
+        assert run_fresh(script, trace, out) == repr([False, 0, True, False])
         assert out.read_text().startswith("ax_w_rms")

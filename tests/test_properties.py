@@ -8,6 +8,7 @@ positions all runs share.
 """
 
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +110,46 @@ def test_iso_windows_count_every_window_and_labels_follow_a_v(seed, n_runs, n, s
         assert row.c + row.n == windows
     severities = [iso2631.severity(out.labels[k]) for k in np.argsort(out.a_v, kind="stable")]
     assert severities == sorted(severities)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=seeds,
+    n=st.integers(200, 3 * 8192 + 40),
+    wid=st.sampled_from(["k", "d"]),
+    scale=st.floats(1e-3, 1e3),
+)
+def test_iso_weighting_of_minus_two_a_is_minus_two_times_exactly(seed, n, wid, scale):
+    """Scaling by a power of two is exact through a linear kernel, so the
+    weighting commutes with it bit for bit, across block and chunk edges."""
+    a = TimeSeries(0.0, 0.005, scale * np.random.default_rng(seed).standard_normal(n))
+    spec = iso2631.load_weighting(wid)
+    base = iso2631.weight_signal(a, spec)
+    doubled = iso2631.weight_signal(a.with_values(-2.0 * a.values), spec)
+    assert doubled.a_w.values.tobytes() == (-2.0 * base.a_w.values).tobytes()
+    assert doubled.a_w_rms == 2.0 * base.a_w_rms
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=seeds,
+    n=st.integers(400, 1200),
+    l_cr=window_lengths,
+    scale=st.floats(0.01, 4.0),
+    c=st.floats(1.0, 8.0),
+)
+def test_scaling_a_run_up_never_lowers_an_iso_window_label(seed, n, l_cr, scale, c):
+    """A run's accelerations times c >= 1 give each window a total vibration
+    value c times as large, up to rounding, and the labels are monotone in
+    it, so no window's label drops."""
+    run = _response(np.random.default_rng(seed), n, 0.005, 0.125, 0.0, scale)
+    accel = {name: getattr(run, name) for name in ("a_x", "a_y", "a_z")}
+    scaled = replace(run, **{name: series.with_values(c * series.values) for name, series in accel.items()})
+    edges = sections.window_edges(0.0, 0.125 * (n - 1), l_cr)
+    weightings = {axis: iso2631.load_weighting(w) for axis, w in iso2631.DEFAULT_WEIGHTINGS.items()}
+    before, after = (sections.iso_window_av(r, edges, weightings) for r in (run, scaled))
+    for low, high in zip(before, after):
+        assert iso2631.severity(iso2631.classify_iso(high).label) >= iso2631.severity(iso2631.classify_iso(low).label)
 
 
 near_band_bounds = st.builds(
